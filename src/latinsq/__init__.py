@@ -19,12 +19,9 @@ from .errors import (
 )
 from .latin_gen import (
     DEFAULT_RESTART_BUDGET,
-    ExponentialLatinSquare,
     GenerationReport,
     LatinSquare,
     generate,
-    to_exponential,
-    to_standard,
 )
 from .mask_set import (
     MAX_ORDER,
@@ -45,12 +42,11 @@ from .oracle_enum import count_all, enumerate_all
 from .rng_choice import RandomSource, choice
 from .validator import ValidationResult, is_exponential_latin, is_latin
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ChoiceImpossible",
     "DEFAULT_RESTART_BUDGET",
-    "ExponentialLatinSquare",
     "GenerationReport",
     "InvalidBound",
     "LatinSqError",
@@ -81,8 +77,6 @@ __all__ = [
     "remove_subset",
     "singleton",
     "to_binary_string",
-    "to_exponential",
-    "to_standard",
     "union",
     "universe",
 ]

@@ -17,21 +17,11 @@ Exit codes
 
 import argparse
 import json
-import secrets
-import statistics
 import sys
 import time
-from pathlib import Path
 
 from .errors import LatinSqError, MalformedMatrix, RestartBudgetExhausted
-from .latin_gen import (
-    DEFAULT_RESTART_BUDGET,
-    ExponentialLatinSquare,
-    LatinSquare,
-    generate,
-    to_exponential,
-    to_standard,
-)
+from .latin_gen import DEFAULT_RESTART_BUDGET, LatinSquare, generate
 from .mask_set import check_order
 from .oracle_enum import count_all
 from .rng_choice import RandomSource
@@ -49,7 +39,8 @@ EXIT_RESTART_BUDGET = 3
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _looks_like_json(text: str) -> bool:
@@ -78,7 +69,10 @@ def _parse_text(text: str) -> list[list[list[int]]]:
 
 
 def _parse_json(text: str) -> list[list[list[int]]]:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise MalformedMatrix("JSON input is nested too deeply") from None
     items = data if isinstance(data, list) else [data]
     matrices = []
     for item in items:
@@ -86,7 +80,7 @@ def _parse_json(text: str) -> list[list[list[int]]]:
             raise MalformedMatrix('JSON square must be {"order": n, "cells": [[...]]}')
         order, cells = item["order"], item["cells"]
         if (
-            not isinstance(order, int)
+            type(order) is not int  # rejects true/false too
             or not isinstance(cells, list)
             or len(cells) != order
             or any(not isinstance(row, list) or len(row) != order for row in cells)
@@ -117,36 +111,39 @@ def _emit_blocks(blocks: list[str]) -> None:
 # ---------------------------------------------------------------- commands
 
 
+def _base_source(args) -> RandomSource:
+    """Source for ``--seed``, or a fresh one whose seed is echoed to stderr."""
+    check_order(args.order)  # before a seed is drawn or echoed
+    base = RandomSource(args.seed)
+    if args.seed is None:
+        print(f"# seed: {base.seed}", file=sys.stderr)
+    return base
+
+
 def _cmd_generate(args) -> int:
-    base_seed = args.seed
-    if base_seed is None:
-        base_seed = secrets.randbits(64)
-        print(f"# seed: {base_seed}", file=sys.stderr)
-    base = RandomSource(base_seed)
+    base = _base_source(args)
     # one derived source per square (seed + index) so any square in a
     # batch can be regenerated on its own
-    reports = [
-        generate(args.order, base.spawn(i), max_row_restarts=args.max_restarts)
+    squares = [
+        generate(args.order, base.spawn(i), max_row_restarts=args.max_restarts).square
         for i in range(args.count)
     ]
     if args.format == "json":
         payload = [
-            {
-                "order": report.square.order,
-                "cells": [list(row) for row in to_standard(report.square).cells],
-            }
-            for report in reports
+            {"order": square.order, "cells": [list(row) for row in square.cells]}
+            for square in squares
         ]
         body = payload[0] if len(payload) == 1 else payload
         sys.stdout.write(json.dumps(body) + "\n")
     else:
-        blocks = []
-        for report in reports:
-            square = report.square
-            cells = square.cells if args.format == "exp" else to_standard(square).cells
-            blocks.append(_render_text(cells))
-        _emit_blocks(blocks)
+        exp = args.format == "exp"
+        _emit_blocks([_render_text(s.exponential if exp else s.cells) for s in squares])
     return EXIT_OK
+
+
+def _invalid(idx: int, total: int, message: str) -> str:
+    """Verdict line for square ``idx`` of ``total``; numbered in batches."""
+    return f"square {idx}: {message}" if total > 1 else message
 
 
 def _cmd_validate(args) -> int:
@@ -155,8 +152,7 @@ def _cmd_validate(args) -> int:
     for idx, cells in enumerate(matrices, start=1):
         verdict = is_exponential_latin(cells) if exponential else is_latin(cells)
         if not verdict:
-            prefix = f"square {idx}: " if len(matrices) > 1 else ""
-            print(f"{prefix}{verdict.message}")
+            print(_invalid(idx, len(matrices), verdict.message))
             return EXIT_INVALID
     print("VALID")
     return EXIT_OK
@@ -165,36 +161,27 @@ def _cmd_validate(args) -> int:
 def _cmd_convert(args) -> int:
     matrices, from_json = _load_matrices(args.file)
     # text input is taken to be in the form opposite the target
-    source_is_exp = args.to == "grid" and not from_json
+    exponential = args.to == "grid" and not from_json
+    build = LatinSquare.from_exponential if exponential else LatinSquare.from_rows
     blocks = []
     for idx, cells in enumerate(matrices, start=1):
-        verdict = is_exponential_latin(cells) if source_is_exp else is_latin(cells)
-        if not verdict:
-            prefix = f"square {idx}: " if len(matrices) > 1 else ""
-            print(f"{prefix}{verdict.message}", file=sys.stderr)
+        try:
+            square = build(cells)
+        except ValueError as exc:  # not Latin; the message names the first violation
+            print(_invalid(idx, len(matrices), str(exc)), file=sys.stderr)
             return EXIT_INVALID
-        if args.to == "exp":
-            out = to_exponential(LatinSquare.from_rows(cells)).cells
-        elif source_is_exp:
-            out = to_standard(ExponentialLatinSquare.from_rows(cells)).cells
-        else:
-            out = cells
-        blocks.append(_render_text(out))
+        blocks.append(_render_text(square.exponential if args.to == "exp" else square.cells))
     _emit_blocks(blocks)
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    print(count_all(args.order, allow_order_six=args.allow_slow))
+    print(count_all(args.order))
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(64)
-        print(f"# seed: {seed}", file=sys.stderr)
-    base = RandomSource(seed)
+    base = _base_source(args)
     restarts = []
     started = time.perf_counter()
     for i in range(args.iterations):
@@ -206,12 +193,12 @@ def _cmd_bench(args) -> int:
         _naive_generate(args.order, base.spawn(i), args.max_restarts)
     naive_total = time.perf_counter() - started
     per = 1000.0 / args.iterations
-    print(f"order {args.order}, {args.iterations} squares per implementation, seed {seed}")
+    print(f"order {args.order}, {args.iterations} squares per implementation, seed {base.seed}")
     print(f"bitmask     total {mask_total:.4f} s   {mask_total * per:.3f} ms/square")
     print(f"bool array  total {naive_total:.4f} s   {naive_total * per:.3f} ms/square")
     print(f"speedup     {naive_total / mask_total:.2f}x (bitmask over bool array)")
     print(
-        f"restarts    total {sum(restarts)}, mean {statistics.fmean(restarts):.2f}, "
+        f"restarts    total {sum(restarts)}, mean {sum(restarts) / len(restarts):.2f}, "
         f"max {max(restarts)} per square"
     )
     return EXIT_OK
@@ -311,10 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(func=_cmd_convert)
 
     cnt = sub.add_parser("count", help="exact number of Latin squares of an order")
-    cnt.add_argument("--order", "-n", type=int, required=True, help="order, 1..5")
-    cnt.add_argument(
-        "--allow-slow", action="store_true", help="permit order 6 (expect around an hour)"
-    )
+    cnt.add_argument("--order", "-n", type=int, required=True, help="order, 1..6")
     cnt.set_defaults(func=_cmd_count)
 
     bench = sub.add_parser("bench", help="time bitmask against boolean-array generation")

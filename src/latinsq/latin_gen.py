@@ -1,4 +1,4 @@
-"""Row-by-row random generation of exponential Latin squares.
+"""Row-by-row random generation of Latin squares.
 
 Cells are filled left to right, top to bottom.  For each cell the set
 of symbols still legal there is the complement, within the n-bit
@@ -9,8 +9,8 @@ column while completed rows stay fixed; a completed Latin rectangle
 always extends to a full square, so finished rows never need
 revisiting.
 
-Cells of the exponential form hold the powers 2**0 .. 2**(n-1); the
-standard form holds the symbols 1..n, related by symbol = log2(cell) + 1.
+A square stores its symbols 1..n.  Its exponential form, the powers
+2**0 .. 2**(n-1), is a view related by cell = 2**(symbol - 1).
 """
 
 import time
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import validator
 from .errors import RestartBudgetExhausted
 from .mask_set import check_order
-from .rng_choice import RandomSource
+from .rng_choice import RandomSource, select_bit
 
 DEFAULT_RESTART_BUDGET = 1_000_000
 
@@ -28,7 +28,11 @@ Cells = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """n x n matrix in which every row and column is a permutation of 1..n."""
+    """n x n matrix in which every row and column is a permutation of 1..n.
+
+    Every public constructor validates its input; squares this package
+    builds itself are Latin by construction and skip the check.
+    """
 
     cells: Cells
 
@@ -41,36 +45,37 @@ class LatinSquare:
     def order(self) -> int:
         return len(self.cells)
 
+    @property
+    def exponential(self) -> Cells:
+        """The cells in exponential form: symbol k becomes 2**(k-1)."""
+        return tuple(tuple(1 << (v - 1) for v in row) for row in self.cells)
+
     @classmethod
     def from_rows(cls, rows) -> "LatinSquare":
         return cls(tuple(tuple(row) for row in rows))
 
-
-@dataclass(frozen=True)
-class ExponentialLatinSquare:
-    """n x n matrix of powers of two whose log2-form is a Latin square."""
-
-    cells: Cells
-
-    def __post_init__(self):
-        verdict = validator.is_exponential_latin(self.cells)
+    @classmethod
+    def from_exponential(cls, rows) -> "LatinSquare":
+        """The square whose exponential form is ``rows``; each cell 2**(k-1)
+        becomes the symbol k."""
+        verdict = validator.is_exponential_latin(rows)
         if not verdict:
             raise ValueError(verdict.message)
-
-    @property
-    def order(self) -> int:
-        return len(self.cells)
+        return cls._trusted(tuple(tuple(v.bit_length() for v in row) for row in rows))
 
     @classmethod
-    def from_rows(cls, rows) -> "ExponentialLatinSquare":
-        return cls(tuple(tuple(row) for row in rows))
+    def _trusted(cls, cells: Cells) -> "LatinSquare":
+        """Wrap cells already known to be Latin, without checking them."""
+        square = object.__new__(cls)
+        object.__setattr__(square, "cells", cells)
+        return square
 
 
 @dataclass(frozen=True)
 class GenerationReport:
     """One generated square plus what it took to produce it."""
 
-    square: ExponentialLatinSquare
+    square: LatinSquare
     seed: int
     row_restarts: int
     elapsed: float  # seconds
@@ -81,7 +86,7 @@ def generate(
     source: RandomSource | None = None,
     max_row_restarts: int | None = DEFAULT_RESTART_BUDGET,
 ) -> GenerationReport:
-    """Generate one random exponential Latin square of the given order.
+    """Generate one random Latin square of the given order.
 
     ``source`` defaults to a fresh entropy-seeded RandomSource; pass a
     seeded one for reproducible output.  The recorded seed reproduces
@@ -102,7 +107,7 @@ def generate(
     rows: list[tuple[int, ...]] = []
     restarts = 0
     for _ in range(n):
-        row = [0] * n
+        row = [0] * n  # one singleton mask per cell
         row_used = 0
         col = 0
         while col < n:
@@ -114,34 +119,12 @@ def generate(
                 row_used = 0  # abandon this row's partial fill, keep earlier rows
                 col = 0
                 continue
-            # uniform set-bit draw, inlined from rng_choice.choice: same
-            # rank rule, same stream, none of the per-cell wrapping
-            rank = src.next_below(avail.bit_count()) + 1
-            pick = 1
-            seen = 0
-            while True:
-                if avail & pick:
-                    seen += 1
-                    if seen == rank:
-                        break
-                pick <<= 1
+            pick = select_bit(avail, src)
             row[col] = pick
             row_used |= pick
             col += 1
         for j, bits in enumerate(row):
             col_used[j] |= bits
-        rows.append(tuple(row))
-    square = ExponentialLatinSquare(tuple(rows))
+        rows.append(tuple(bits.bit_length() for bits in row))
+    square = LatinSquare._trusted(tuple(rows))
     return GenerationReport(square, src.seed, restarts, time.perf_counter() - started)
-
-
-def to_standard(square: ExponentialLatinSquare) -> LatinSquare:
-    """Map each cell 2**(k-1) to the symbol k."""
-    return LatinSquare(tuple(tuple(v.bit_length() for v in row) for row in square.cells))
-
-
-def to_exponential(square: LatinSquare) -> ExponentialLatinSquare:
-    """Map each symbol k to the power 2**(k-1)."""
-    return ExponentialLatinSquare(
-        tuple(tuple(1 << (v - 1) for v in row) for row in square.cells)
-    )

@@ -1,17 +1,20 @@
-"""Brute-force enumeration of all Latin squares of small order.
+"""Brute-force enumeration and counting of Latin squares of small order.
 
 Ground truth for counting and reachability tests, kept deliberately
-independent of the random generator: a plain depth-first search over
-cells in row-major order, trying symbols in ascending order, with
-packed-set pruning but none of the generator's machinery.
+independent of the random generator: one plain depth-first search that
+completes a partly filled grid cell by cell in row-major order, trying
+symbols in ascending order, with packed-set pruning but none of the
+generator's machinery.
 """
+
+from math import factorial
 
 from .errors import OrderTooLargeForEnumeration
 from .latin_gen import LatinSquare
 from .mask_set import check_order
 
 ENUMERATION_CAP = 4  # full materialization
-COUNT_CAP = 5  # counting without materialization
+COUNT_CAP = 6  # counting reduced squares without materialization
 
 
 def enumerate_all(n: int) -> list[LatinSquare]:
@@ -21,67 +24,59 @@ def enumerate_all(n: int) -> list[LatinSquare]:
         raise OrderTooLargeForEnumeration(
             f"enumeration materializes every square; capped at order {ENUMERATION_CAP}"
         )
-    full = (1 << n) - 1
-    col_used = [0] * n
-    grid = [[0] * n for _ in range(n)]
-    found: list[LatinSquare] = []
+    return [LatinSquare.from_rows(grid) for grid in _completions([[0] * n for _ in range(n)])]
 
-    def fill(row: int, col: int, row_used: int) -> None:
-        if col == n:
-            if row == n - 1:
-                found.append(LatinSquare.from_rows(grid))
-            else:
-                fill(row + 1, 0, 0)
+
+def count_all(n: int) -> int:
+    """Exact number of Latin squares of order n, capped at order 6.
+
+    Counts the reduced squares R_n, whose first row and first column are
+    1..n, and returns L_n = n! (n-1)! R_n (McKay and Wanless, "On the
+    number of Latin squares", 2005): permuting the columns of any square
+    to sort its first row, then rows 2..n to sort its first column, reaches
+    each reduced square from exactly n! (n-1)! squares.
+    """
+    check_order(n)
+    if n > COUNT_CAP:
+        raise OrderTooLargeForEnumeration(f"counting is capped at order {COUNT_CAP}")
+    grid = [[0] * n for _ in range(n)]
+    for k in range(n):
+        grid[0][k] = grid[k][0] = k + 1
+    reduced = sum(1 for _ in _completions(grid))
+    return reduced * factorial(n) * factorial(n - 1)
+
+
+def _completions(grid: list[list[int]]):
+    """Yield ``grid`` each time its zero cells have been filled so that no
+    row or column repeats a symbol; the nonzero cells stay fixed.
+
+    The grid is filled in place, so copy a yielded grid to keep it.
+    """
+    n = len(grid)
+    full = (1 << n) - 1
+    row_used = [0] * n
+    col_used = [0] * n
+    for i, row in enumerate(grid):
+        for j, v in enumerate(row):
+            if v:
+                row_used[i] |= 1 << (v - 1)
+                col_used[j] |= 1 << (v - 1)
+    empty = [(i, j) for i in range(n) for j in range(n) if not grid[i][j]]
+
+    def fill(k: int):
+        if k == len(empty):
+            yield grid
             return
-        avail = full ^ (row_used | col_used[col])
+        i, j = empty[k]
+        avail = full ^ (row_used[i] | col_used[j])
         while avail:
             bit = avail & -avail
             avail ^= bit
-            grid[row][col] = bit.bit_length()
-            col_used[col] |= bit
-            fill(row, col + 1, row_used | bit)
-            col_used[col] ^= bit
+            grid[i][j] = bit.bit_length()
+            row_used[i] |= bit
+            col_used[j] |= bit
+            yield from fill(k + 1)
+            row_used[i] ^= bit
+            col_used[j] ^= bit
 
-    fill(0, 0, 0)
-    return found
-
-
-def count_all(n: int, allow_order_six: bool = False) -> int:
-    """Exact number of Latin squares of order n.
-
-    Capped at order 5 (161280 squares, a few seconds).  Order 6 counts
-    812851200 squares and is only reachable behind ``allow_order_six``;
-    expect on the order of an hour.
-    """
-    check_order(n)
-    cap = 6 if allow_order_six else COUNT_CAP
-    if n > cap:
-        raise OrderTooLargeForEnumeration(f"counting is capped at order {cap}")
-    return _count_squares(n)
-
-
-def _count_squares(n: int, descending: bool = False) -> int:
-    """DFS count; ``descending`` flips the symbol visit order (the total
-    must not depend on it)."""
-    full = (1 << n) - 1
-    col_used = [0] * n
-
-    def fill(row: int, col: int, row_used: int) -> int:
-        if col == n:
-            if row == n - 1:
-                return 1
-            return fill(row + 1, 0, 0)
-        avail = full ^ (row_used | col_used[col])
-        total = 0
-        while avail:
-            if descending:
-                bit = 1 << (avail.bit_length() - 1)
-            else:
-                bit = avail & -avail
-            avail ^= bit
-            col_used[col] |= bit
-            total += fill(row, col + 1, row_used | bit)
-            col_used[col] ^= bit
-        return total
-
-    return fill(0, 0, 0)
+    return fill(0)

@@ -1,7 +1,6 @@
 """Seedable random source and uniform selection of one set bit."""
 
 import random
-import secrets
 
 from .errors import ChoiceImpossible, InvalidBound
 from .mask_set import SubsetMask
@@ -20,7 +19,7 @@ class RandomSource:
 
     def __init__(self, seed: int | None = None):
         if seed is None:
-            seed = secrets.randbits(64)
+            seed = random.SystemRandom().getrandbits(64)
         if not 0 <= seed <= _WORD64:
             raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
         self.seed = seed
@@ -50,21 +49,20 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-def choice(k: SubsetMask, src: RandomSource) -> SubsetMask:
-    """Pick one set bit of ``k`` uniformly, returned as a singleton mask.
+def select_bit(bits: int, src: RandomSource) -> int:
+    """One set bit of the nonzero word ``bits``, drawn uniformly.
 
-    The r-th set bit is taken, with r uniform over 1..popcount(k), by
-    walking a probe bit upward from bit 0; each member therefore has
-    probability 1/popcount(k).
+    Clears the r lowest set bits, r uniform over 0..popcount(bits)-1, and
+    returns the lowest bit left as a power of two; each member therefore
+    has probability 1/popcount(bits).  One ``next_below`` per call.
     """
+    for _ in range(src.next_below(bits.bit_count())):
+        bits &= bits - 1
+    return bits & -bits
+
+
+def choice(k: SubsetMask, src: RandomSource) -> SubsetMask:
+    """Pick one set bit of ``k`` uniformly, returned as a singleton mask."""
     if k.bits == 0:
         raise ChoiceImpossible("the choice is not possible: empty mask")
-    rank = src.next_below(k.bits.bit_count()) + 1
-    seen = 0
-    probe = 1
-    while True:
-        if k.bits & probe:
-            seen += 1
-            if seen == rank:
-                return SubsetMask(probe, k.order)
-        probe <<= 1
+    return SubsetMask(select_bit(k.bits, src), k.order)

@@ -1,7 +1,7 @@
 """Latin-square predicates on raw integer matrices.
 
 Both checks run on plain sequences of rows, so unparsed or hand-built
-input can be screened before it is wrapped in one of the square types.
+input can be screened before it is wrapped in the square type.
 Row and column scans use the packed-set representation: a duplicate
 symbol is a bit seen twice, and n distinct in-range symbols necessarily
 fill the n-bit universe.
@@ -41,7 +41,7 @@ def _square_order(matrix: Matrix) -> int:
                 f"matrix is not square: {n} rows but row {i} has {len(row)} entries"
             )
         for v in row:
-            if not isinstance(v, int):
+            if type(v) is not int:  # bool is an int subclass but no symbol
                 raise MalformedMatrix(f"row {i} holds a non-integer entry {v!r}")
     check_order(n)
     return n

@@ -1,14 +1,17 @@
 """Command-line behavior: formats, exit codes, round trips, bench."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from latinsq import cli, validator
 from latinsq.cli import _naive_generate, main
-from latinsq.latin_gen import generate, to_standard
+from latinsq.latin_gen import generate
 from latinsq.rng_choice import RandomSource
 
 from conftest import ORDER12_STD_ROW1
@@ -114,6 +117,14 @@ def test_generate_order_too_large(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize("order", ["0", "65"])
+def test_generate_rejects_order_before_drawing_a_seed(capsys, order):
+    code, out, err = run(capsys, "generate", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: order must be in 1..64, got {order}\n"
+
+
 def test_generate_rejects_bad_seed(capsys):
     assert run(capsys, "generate", "--order", "4", "--seed", "-1")[0] == 2
     assert run(capsys, "generate", "--order", "4", "--seed", str(1 << 64))[0] == 2
@@ -129,6 +140,48 @@ def test_generate_restart_budget_exit_code(capsys):
     )
     assert code == 3
     assert "restart" in err
+
+
+README_GRID = "1 2 5 3 4\n2 4 3 5 1\n5 1 4 2 3\n3 5 1 4 2\n4 3 2 1 5\n"
+README_EXP = "1 2 16 4 8\n2 8 4 16 1\n16 1 8 2 4\n4 16 1 8 2\n8 4 2 1 16\n"
+
+
+def test_readme_examples(capsys, tmp_path):
+    assert run(capsys, "generate", "--order", "5", "--seed", "42")[1] == README_GRID
+    exp = run(capsys, "generate", "--order", "5", "--seed", "42", "--format", "exp")[1]
+    assert exp == README_EXP
+    path = tmp_path / "sq.exp"
+    path.write_text(run(capsys, "generate", "--order", "12", "--seed", "7", "--format", "exp")[1])
+    assert run(capsys, "validate", str(path), "--exp")[1] == "VALID\n"
+    grid = run(capsys, "convert", str(path), "--to", "grid")[1]
+    assert grid.splitlines()[0] == "6 3 9 1 2 12 10 4 7 11 5 8"
+
+
+# sha256 over the output of every call below, as released in 0.1.0
+GOLDEN_OUTPUT = "f28a354916ab64f81907dad8996b59b45724419462e2e8c23237d11f45effe57"
+
+
+def test_generate_output_unchanged_since_0_1_0(capsys):
+    digest = hashlib.sha256()
+    for fmt in ("grid", "exp", "json"):
+        for order in range(1, 25):
+            for tail in [["--seed", str(s)] for s in range(5)] + [["--seed", "1000", "--count", "3"]]:
+                code, out, _ = run(capsys, "generate", "--order", str(order), "--format", fmt, *tail)
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_OUTPUT
+
+
+@pytest.mark.parametrize("fmt", ["grid", "exp", "json"])
+def test_generate_never_validates(capsys, monkeypatch, fmt):
+    def refuse(matrix):
+        raise AssertionError("generate must not call the validator")
+
+    for module in (validator, cli):
+        monkeypatch.setattr(module, "is_latin", refuse)
+        monkeypatch.setattr(module, "is_exponential_latin", refuse)
+    code, out, _ = run(capsys, "generate", "--order", "9", "--seed", "3", "--format", fmt)
+    assert code == 0 and out
 
 
 # ---------------------------------------------------------------- validate
@@ -180,6 +233,36 @@ def test_validate_json_input(capsys, tmp_path):
     assert run(capsys, "validate", str(path))[0] == 2  # shape contradicts header
     path.write_text("{broken json")
     assert run(capsys, "validate", str(path))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "square",
+    [
+        {"order": True, "cells": [[True]]},
+        {"order": 1, "cells": [[True]]},
+        {"order": 2, "cells": [[1, 2], [2, True]]},
+    ],
+)
+def test_validate_rejects_json_booleans(capsys, tmp_path, square):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(square))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 10**5, "[" * 10**5 + "]" * 10**5, '{"a": ' * 10**5],
+    ids=["unclosed", "closed", "objects"],
+)
+def test_validate_deeply_nested_json(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON input is nested too deeply\n"
 
 
 def test_validate_multi_square_reports_offender(capsys, tmp_path):
@@ -243,8 +326,15 @@ def test_count_known_orders(capsys, order, expected):
 
 def test_count_rejects_large_orders(capsys):
     assert run(capsys, "count", "--order", "7")[0] == 2
-    assert run(capsys, "count", "--order", "6")[0] == 2  # needs --allow-slow
-    assert run(capsys, "count", "--order", "7", "--allow-slow")[0] == 2
+    assert run(capsys, "count", "--order", "7", "--allow-slow")[0] == 2  # no such flag
+
+
+def test_count_order6(capsys):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--order", "6")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    assert out == "812851200\n"
 
 
 # ---------------------------------------------------------------- bench
@@ -269,7 +359,7 @@ def test_naive_baseline_matches_bitmask_path(order):
     for seed in (0, 1, 17):
         grid, naive_restarts = _naive_generate(order, RandomSource(seed))
         report = generate(order, RandomSource(seed))
-        assert tuple(tuple(row) for row in grid) == to_standard(report.square).cells
+        assert tuple(tuple(row) for row in grid) == report.square.cells
         assert naive_restarts == report.row_restarts
 
 

@@ -1,17 +1,11 @@
-"""Generator soundness, determinism, restarts, and form conversions."""
+"""Generator soundness, determinism, restarts, and the exponential view."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinsq.errors import OrderTooLarge, RestartBudgetExhausted
-from latinsq.latin_gen import (
-    ExponentialLatinSquare,
-    LatinSquare,
-    generate,
-    to_exponential,
-    to_standard,
-)
+from latinsq.latin_gen import LatinSquare, generate
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
 from latinsq.validator import is_exponential_latin, is_latin
@@ -51,17 +45,16 @@ def test_order12_fixed_seed_valid_and_repeatable():
     second = generate(12, RandomSource(42))
     assert first.square == second.square
     assert first.row_restarts == second.row_restarts
-    assert is_exponential_latin(first.square.cells)
-    top = 1 << 11
-    assert all(1 <= v <= top for row in first.square.cells for v in row)
+    assert is_exponential_latin(first.square.exponential)
+    assert all(1 <= v <= 12 for row in first.square.cells for v in row)
 
 
 def test_soundness_sweep_small_orders():
     for n in range(1, 9):
         for seed in range(20):
             report = generate(n, RandomSource(seed))
-            assert is_exponential_latin(report.square.cells)
-            assert is_latin(to_standard(report.square).cells)
+            assert is_exponential_latin(report.square.exponential)
+            assert is_latin(report.square.cells)
 
 
 def test_report_records_seed_and_timing():
@@ -86,7 +79,7 @@ def test_restart_budget_exhausted():
 
 def test_unlimited_budget():
     report = generate(10, RandomSource(5), max_row_restarts=None)
-    assert is_exponential_latin(report.square.cells)
+    assert is_latin(report.square.cells)
 
 
 def test_budget_must_be_positive():
@@ -97,7 +90,7 @@ def test_budget_must_be_positive():
 def test_reachability_order3():
     produced = set()
     for seed in range(3000):
-        produced.add(to_standard(generate(3, RandomSource(seed)).square).cells)
+        produced.add(generate(3, RandomSource(seed)).square.cells)
     expected = {square.cells for square in enumerate_all(3)}
     assert produced == expected
 
@@ -106,38 +99,39 @@ def test_reachability_order3():
 
 
 def test_conversion_examples():
-    assert to_standard(ExponentialLatinSquare.from_rows([[1]])).cells == ((1,),)
-    assert to_exponential(LatinSquare.from_rows([[1]])).cells == ((1,),)
-    assert to_standard(ExponentialLatinSquare.from_rows([[1, 2], [2, 1]])).cells == (
-        (1, 2),
-        (2, 1),
+    assert LatinSquare.from_exponential([[1]]).cells == ((1,),)
+    assert LatinSquare.from_rows([[1]]).exponential == ((1,),)
+    assert LatinSquare.from_exponential([[1, 2], [2, 1]]).cells == ((1, 2), (2, 1))
+    assert LatinSquare.from_rows([[3, 1, 2], [1, 2, 3], [2, 3, 1]]).exponential == (
+        (4, 1, 2),
+        (1, 2, 4),
+        (2, 4, 1),
     )
-    assert to_exponential(
-        LatinSquare.from_rows([[3, 1, 2], [1, 2, 3], [2, 3, 1]])
-    ).cells == ((4, 1, 2), (1, 2, 4), (2, 4, 1))
 
 
 def test_order12_reference_maps_to_expected_symbols(order12_exp):
-    square = ExponentialLatinSquare.from_rows(order12_exp)
-    assert to_standard(square).cells[0] == (6, 1, 5, 4, 10, 9, 12, 8, 2, 11, 3, 7)
+    square = LatinSquare.from_exponential(order12_exp)
+    assert square.cells[0] == (6, 1, 5, 4, 10, 9, 12, 8, 2, 11, 3, 7)
 
 
 def test_roundtrip_exhaustive_order3():
     for square in enumerate_all(3):
-        assert to_standard(to_exponential(square)) == square
+        assert LatinSquare.from_exponential(square.exponential) == square
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32))
 def test_roundtrip_on_generated_squares(order, seed):
-    exp = generate(order, RandomSource(seed)).square
-    assert to_exponential(to_standard(exp)) == exp
-    std = to_standard(exp)
-    assert to_standard(to_exponential(std)) == std
+    square = generate(order, RandomSource(seed)).square
+    assert LatinSquare.from_exponential(square.exponential) == square
+    assert LatinSquare.from_rows(square.cells) == square
+    assert hash(LatinSquare.from_rows(square.cells)) == hash(square)
 
 
 def test_square_types_validate_on_construction():
     with pytest.raises(ValueError):
         LatinSquare.from_rows([[1, 2], [1, 2]])
     with pytest.raises(ValueError):
-        ExponentialLatinSquare.from_rows([[1, 3], [3, 1]])
+        LatinSquare.from_exponential([[1, 3], [3, 1]])
+    with pytest.raises(ValueError):
+        LatinSquare.from_exponential([[1, 2], [1, 2]])  # powers of two, column repeats

@@ -3,7 +3,7 @@
 import pytest
 
 from latinsq.errors import OrderTooLarge, OrderTooLargeForEnumeration
-from latinsq.oracle_enum import _count_squares, count_all, enumerate_all
+from latinsq.oracle_enum import count_all, enumerate_all
 from latinsq.validator import is_latin
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
@@ -34,21 +34,14 @@ def test_enumeration_is_lexicographic():
     assert first4.cells == ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))
 
 
-def test_count_invariant_under_symbol_visit_order():
-    for n in range(1, 5):
-        assert _count_squares(n, descending=True) == count_all(n)
-
-
 def test_enumeration_cap():
     with pytest.raises(OrderTooLargeForEnumeration):
         enumerate_all(5)
 
 
-def test_count_cap_and_override_flag():
+def test_count_cap():
     with pytest.raises(OrderTooLargeForEnumeration):
-        count_all(6)
-    with pytest.raises(OrderTooLargeForEnumeration):
-        count_all(7, allow_order_six=True)
+        count_all(7)
 
 
 def test_order_validation():

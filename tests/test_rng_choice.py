@@ -8,7 +8,7 @@ from scipy import stats
 
 from latinsq.errors import ChoiceImpossible, InvalidBound
 from latinsq.mask_set import SubsetMask, universe
-from latinsq.rng_choice import RandomSource, choice
+from latinsq.rng_choice import RandomSource, choice, select_bit
 
 CHI2_ALPHA = 1e-3
 
@@ -65,6 +65,27 @@ def test_spawn_derives_seed_plus_index():
     assert base.spawn(7).seed == 107
     wrap = RandomSource((1 << 64) - 1)
     assert wrap.spawn(1).seed == 0
+
+
+def probe_walk(bits, src):
+    """The rank rule spelled out: walk a probe bit upward from bit 0 and
+    stop at the r-th set bit, r uniform over 1..popcount."""
+    rank = src.next_below(bits.bit_count()) + 1
+    probe, seen = 1, 0
+    while True:
+        if bits & probe:
+            seen += 1
+            if seen == rank:
+                return probe
+        probe <<= 1
+
+
+def test_select_bit_follows_the_rank_rule():
+    # same draws, same picks: seeds keep reproducing the same squares
+    rng = random.Random(3)
+    masks = [rng.randint(1, (1 << 64) - 1) for _ in range(5_000)]
+    a, b = RandomSource(8), RandomSource(8)
+    assert [select_bit(m, a) for m in masks] == [probe_walk(m, b) for m in masks]
 
 
 def test_choice_forced_singleton():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from latinsq.errors import MalformedMatrix, OrderTooLarge
-from latinsq.latin_gen import generate, to_standard
+from latinsq.latin_gen import generate
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
 from latinsq.validator import is_exponential_latin, is_latin
@@ -74,6 +74,7 @@ def test_order12_mutation_detected(order12_exp):
         [[1, 2], [1]],
         [[1, "x"], [2, 1]],
         [[1.0, 2], [2, 1]],
+        [[True]],
     ],
 )
 def test_malformed_matrices(bad):
@@ -81,6 +82,16 @@ def test_malformed_matrices(bad):
         is_latin(bad)
     with pytest.raises(MalformedMatrix):
         is_exponential_latin(bad)
+
+
+def test_booleans_are_not_symbols():
+    # True == 1 and False == 0, but neither is a symbol
+    with pytest.raises(MalformedMatrix, match="True"):
+        is_latin([[True]])
+    with pytest.raises(MalformedMatrix):
+        is_latin([[1, 2], [2, True]])
+    with pytest.raises(MalformedMatrix):
+        is_exponential_latin([[1, 2], [True, 1]])
 
 
 def test_order_above_word_width_rejected():
@@ -119,5 +130,5 @@ def test_mutation_detection_exhaustive_small_orders():
 def test_generated_squares_pass_both_checks():
     for seed in range(5):
         report = generate(6, RandomSource(seed))
-        assert is_exponential_latin(report.square.cells)
-        assert is_latin(to_standard(report.square).cells)
+        assert is_exponential_latin(report.square.exponential)
+        assert is_latin(report.square.cells)
