@@ -14,11 +14,9 @@ from .errors import (
     OrderMismatch,
     OrderTooLarge,
     OrderTooLargeForEnumeration,
-    RestartBudgetExhausted,
     SymbolOutOfRange,
 )
 from .latin_gen import (
-    DEFAULT_RESTART_BUDGET,
     GenerationReport,
     LatinSquare,
     generate,
@@ -42,11 +40,10 @@ from .oracle_enum import count_all, enumerate_all
 from .rng_choice import RandomSource, choice
 from .validator import ValidationResult, is_exponential_latin, is_latin
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ChoiceImpossible",
-    "DEFAULT_RESTART_BUDGET",
     "GenerationReport",
     "InvalidBound",
     "LatinSqError",
@@ -58,7 +55,6 @@ __all__ = [
     "OrderTooLarge",
     "OrderTooLargeForEnumeration",
     "RandomSource",
-    "RestartBudgetExhausted",
     "SubsetMask",
     "SymbolOutOfRange",
     "ValidationResult",

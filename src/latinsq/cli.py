@@ -12,7 +12,6 @@ Exit codes
     0  success / square is valid
     1  square is invalid
     2  usage or input error
-    3  row-restart budget exhausted
 """
 
 import argparse
@@ -20,9 +19,9 @@ import json
 import sys
 import time
 
-from .errors import LatinSqError, MalformedMatrix, RestartBudgetExhausted
-from .latin_gen import DEFAULT_RESTART_BUDGET, LatinSquare, generate
-from .mask_set import check_order
+from .errors import LatinSqError, MalformedMatrix
+from .latin_gen import LatinSquare, _repair_row, generate
+from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import count_all
 from .rng_choice import RandomSource
 from .validator import is_exponential_latin, is_latin
@@ -30,7 +29,6 @@ from .validator import is_exponential_latin, is_latin
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-EXIT_RESTART_BUDGET = 3
 
 
 # ---------------------------------------------------------------- formats
@@ -53,9 +51,13 @@ def _parse_text(text: str) -> list[list[list[int]]]:
     blocks: list[list[list[int]]] = []
     current: list[list[int]] = []
     for line in text.splitlines():
-        if line.strip():
+        tokens = line.split(None, MAX_ORDER)
+        if tokens:
+            # refuse an oversized block before converting any more of it
+            if len(tokens) > MAX_ORDER or len(current) == MAX_ORDER:
+                raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
             try:
-                current.append([int(tok) for tok in line.split()])
+                current.append([int(tok) for tok in tokens])
             except ValueError:
                 raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
         elif current:
@@ -124,10 +126,7 @@ def _cmd_generate(args) -> int:
     base = _base_source(args)
     # one derived source per square (seed + index) so any square in a
     # batch can be regenerated on its own
-    squares = [
-        generate(args.order, base.spawn(i), max_row_restarts=args.max_restarts).square
-        for i in range(args.count)
-    ]
+    squares = [generate(args.order, base.spawn(i)).square for i in range(args.count)]
     if args.format == "json":
         payload = [
             {"order": square.order, "cells": [list(row) for row in square.cells]}
@@ -182,15 +181,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_bench(args) -> int:
     base = _base_source(args)
-    restarts = []
     started = time.perf_counter()
-    for i in range(args.iterations):
-        report = generate(args.order, base.spawn(i), max_row_restarts=args.max_restarts)
-        restarts.append(report.row_restarts)
+    repairs = [generate(args.order, base.spawn(i)).repairs for i in range(args.iterations)]
     mask_total = time.perf_counter() - started
     started = time.perf_counter()
     for i in range(args.iterations):
-        _naive_generate(args.order, base.spawn(i), args.max_restarts)
+        _naive_generate(args.order, base.spawn(i))
     naive_total = time.perf_counter() - started
     per = 1000.0 / args.iterations
     print(f"order {args.order}, {args.iterations} squares per implementation, seed {base.seed}")
@@ -198,25 +194,25 @@ def _cmd_bench(args) -> int:
     print(f"bool array  total {naive_total:.4f} s   {naive_total * per:.3f} ms/square")
     print(f"speedup     {naive_total / mask_total:.2f}x (bitmask over bool array)")
     print(
-        f"restarts    total {sum(restarts)}, mean {sum(restarts) / len(restarts):.2f}, "
-        f"max {max(restarts)} per square"
+        f"repairs     total {sum(repairs)}, mean {sum(repairs) / len(repairs):.2f}, "
+        f"max {max(repairs)} per square"
     )
     return EXIT_OK
 
 
-def _naive_generate(n, src, max_row_restarts=DEFAULT_RESTART_BUDGET):
-    """Row-restart fill with an n-slot boolean availability list per cell.
+def _naive_generate(n, src):
+    """Cell-by-cell fill with an n-slot boolean availability list per cell.
 
     Bench baseline: same algorithm and same draw sequence as
-    latin_gen.generate, with the packed masks replaced by the obvious
-    list-of-flags bookkeeping.  Returns (rows of symbols 1..n, restarts).
+    latin_gen.generate, with the packed masks of the per-cell draw
+    replaced by the obvious list-of-flags bookkeeping; a dead-end cell
+    goes through the same repair.  Returns (rows of symbols 1..n, repairs).
     """
     check_order(n)
     grid = [[0] * n for _ in range(n)]
-    restarts = 0
+    repairs = 0
     for row in range(n):
-        col = 0
-        while col < n:
+        for col in range(n):
             avail = [True] * n
             for i in range(row):
                 avail[grid[i][col] - 1] = False
@@ -224,10 +220,11 @@ def _naive_generate(n, src, max_row_restarts=DEFAULT_RESTART_BUDGET):
                 avail[grid[row][j] - 1] = False
             live = sum(avail)
             if live == 0:
-                restarts += 1
-                if max_row_restarts is not None and restarts > max_row_restarts:
-                    raise RestartBudgetExhausted(n, src.seed, restarts, row)
-                col = 0  # stale cells to the right are overwritten, never read
+                repairs += 1
+                cells = [1 << (v - 1) for v in grid[row][:col]] + [0]
+                col_used = [sum(1 << (grid[i][j] - 1) for i in range(row)) for j in range(col + 1)]
+                _repair_row(cells, col, col_used, (1 << n) - 1, src)
+                grid[row][: col + 1] = [bits.bit_length() for bits in cells]
                 continue
             rank = src.next_below(live) + 1
             symbol = 0
@@ -237,8 +234,7 @@ def _naive_generate(n, src, max_row_restarts=DEFAULT_RESTART_BUDGET):
                     seen += 1
                 symbol += 1
             grid[row][col] = symbol
-            col += 1
-    return grid, restarts
+    return grid, repairs
 
 
 # ---------------------------------------------------------------- parser
@@ -276,13 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--format", choices=("grid", "exp", "json"), default="grid", help="output form (default grid)"
     )
-    gen.add_argument(
-        "--max-restarts",
-        type=_positive_int,
-        default=DEFAULT_RESTART_BUDGET,
-        metavar="N",
-        help=f"row-restart cap per square (default {DEFAULT_RESTART_BUDGET})",
-    )
     gen.set_defaults(func=_cmd_generate)
 
     val = sub.add_parser("validate", help="check a square file")
@@ -307,13 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--iterations", type=_positive_int, default=10, help="squares per implementation (default 10)"
     )
     bench.add_argument("--seed", type=_seed_arg, help="base seed (entropy when omitted)")
-    bench.add_argument(
-        "--max-restarts",
-        type=_positive_int,
-        default=DEFAULT_RESTART_BUDGET,
-        metavar="N",
-        help=f"row-restart cap per square (default {DEFAULT_RESTART_BUDGET})",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     return parser
@@ -326,9 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except RestartBudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESTART_BUDGET
     except (LatinSqError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

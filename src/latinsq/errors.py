@@ -36,16 +36,3 @@ class OrderTooLargeForEnumeration(LatinSqError):
 class MalformedMatrix(LatinSqError):
     """Input matrix is empty, ragged, non-square, or not integer-valued."""
 
-
-class RestartBudgetExhausted(LatinSqError):
-    """Generation hit the row-restart cap before completing the square."""
-
-    def __init__(self, order: int, seed: int, row_restarts: int, rows_completed: int):
-        super().__init__(
-            f"gave up after {row_restarts} row restarts "
-            f"({rows_completed}/{order} rows completed, seed {seed})"
-        )
-        self.order = order
-        self.seed = seed
-        self.row_restarts = row_restarts
-        self.rows_completed = rows_completed

@@ -4,10 +4,10 @@ Cells are filled left to right, top to bottom.  For each cell the set
 of symbols still legal there is the complement, within the n-bit
 universe, of everything already placed in the cell's column and in the
 row so far; one legal symbol is drawn uniformly.  A cell with no legal
-symbol aborts only the current row, which is refilled from its first
-column while completed rows stay fixed; a completed Latin rectangle
-always extends to a full square, so finished rows never need
-revisiting.
+symbol is repaired in place: symbols already in the row shift along an
+augmenting path until one of them frees a symbol for the cell.  A
+completed Latin rectangle always extends to a full square, so such a
+path always exists and no row is ever thrown away.
 
 A square stores its symbols 1..n.  Its exponential form, the powers
 2**0 .. 2**(n-1), is a view related by cell = 2**(symbol - 1).
@@ -17,11 +17,8 @@ import time
 from dataclasses import dataclass
 
 from . import validator
-from .errors import RestartBudgetExhausted
 from .mask_set import check_order
 from .rng_choice import RandomSource, select_bit
-
-DEFAULT_RESTART_BUDGET = 1_000_000
 
 Cells = tuple[tuple[int, ...], ...]
 
@@ -77,54 +74,93 @@ class GenerationReport:
 
     square: LatinSquare
     seed: int
-    row_restarts: int
+    repairs: int  # cells that found no legal symbol and were repaired
     elapsed: float  # seconds
 
 
-def generate(
-    order: int,
-    source: RandomSource | None = None,
-    max_row_restarts: int | None = DEFAULT_RESTART_BUDGET,
-) -> GenerationReport:
+def generate(order: int, source: RandomSource | None = None) -> GenerationReport:
     """Generate one random Latin square of the given order.
 
     ``source`` defaults to a fresh entropy-seeded RandomSource; pass a
     seeded one for reproducible output.  The recorded seed reproduces
-    the square only when the source was freshly constructed.
-    ``max_row_restarts`` caps dead-end recoveries so a call cannot hang;
-    None removes the cap.  Restarts grow steeply with order: negligible
-    up to order ~16, around 10**4..10**5 per square by order 32..36, so
-    the default cap bites somewhere past order 36.
+    the square only when the source was freshly constructed.  A cell
+    with no legal symbol is repaired in place (``_repair_row``), so every
+    order up to 64 completes.
     """
     check_order(order)
-    if max_row_restarts is not None and max_row_restarts < 1:
-        raise ValueError(f"max_row_restarts must be positive or None, got {max_row_restarts}")
     src = source if source is not None else RandomSource()
     started = time.perf_counter()
     n = order
     full = (1 << n) - 1
     col_used = [0] * n  # per column, OR of the cells in completed rows
     rows: list[tuple[int, ...]] = []
-    restarts = 0
+    repairs = 0
     for _ in range(n):
         row = [0] * n  # one singleton mask per cell
         row_used = 0
-        col = 0
-        while col < n:
+        for col in range(n):
             avail = full ^ (row_used | col_used[col])
-            if avail == 0:
-                restarts += 1
-                if max_row_restarts is not None and restarts > max_row_restarts:
-                    raise RestartBudgetExhausted(order, src.seed, restarts, len(rows))
-                row_used = 0  # abandon this row's partial fill, keep earlier rows
-                col = 0
-                continue
-            pick = select_bit(avail, src)
-            row[col] = pick
+            if avail:
+                row[col] = pick = select_bit(avail, src)
+            else:
+                pick = _repair_row(row, col, col_used, full, src)
+                repairs += 1
             row_used |= pick
-            col += 1
         for j, bits in enumerate(row):
             col_used[j] |= bits
         rows.append(tuple(bits.bit_length() for bits in row))
     square = LatinSquare._trusted(tuple(rows))
-    return GenerationReport(square, src.seed, restarts, time.perf_counter() - started)
+    return GenerationReport(square, src.seed, repairs, time.perf_counter() - started)
+
+
+def _repair_row(row: list[int], c: int, col_used: list[int], full: int, src: RandomSource) -> int:
+    """Fill cell ``c`` of a partial row whose legal symbols are all taken.
+
+    ``row[0..c-1]`` hold the row's symbols as one-bit masks; symbol s is
+    legal for column x when s is not in ``col_used[x]``.  A breadth-first
+    search from c moves through the row: column x may take a legal symbol
+    that column y holds, and y must then move.  Each column reached, paired
+    with each of its legal symbols the row does not hold, is a candidate.
+    One candidate is drawn uniformly, by rejection so that no draw has a
+    bound above n, as for a cell: a reached column with k such symbols is
+    kept with odds k/most, most the largest k, and one of its k symbols is
+    drawn.  It takes that symbol and each column on the path back to c takes
+    the old symbol of the one after it.  Returns the symbol new to the row.
+
+    A candidate always exists.  The filled cells match columns 0..c-1 to
+    distinct legal symbols.  The completed rows are a Latin rectangle, which
+    extends to a square (M. Hall, 1945), so a matching M' of legal symbols
+    covering columns 0..c exists too.  In the symmetric difference of the
+    two matchings, the path from the unmatched column c enters each column
+    by a row edge and leaves it by an M' edge, so it ends at a legal symbol
+    the row does not hold, and the search reaches the column before it
+    (Kuhn, 1955).  At most c + 1 columns are scanned, one n-bit word each,
+    so a repair costs O(c*n) word operations.
+    """
+    owner = {bit: x for x, bit in enumerate(row[:c])}  # symbol bit -> its column
+    row_used = sum(owner)  # distinct bits, so the sum is their union
+    reached = 0  # symbols whose holders are already queued
+    parent = {c: -1}
+    found = []  # (column, its legal symbols the row does not hold)
+    queue = [c]
+    for x in queue:
+        legal = full ^ col_used[x]
+        if free := legal & ~row_used:
+            found.append((x, free))
+        held = legal & row_used & ~reached
+        reached |= held
+        while held:
+            bit = held & -held
+            held ^= bit
+            parent[owner[bit]] = x
+            queue.append(owner[bit])
+    most = max(free.bit_count() for _, free in found)
+    while True:
+        x, free = found[src.next_below(len(found))]
+        if src.next_below(most) < free.bit_count():
+            break
+    entering = bit = select_bit(free, src)
+    while x != -1:
+        row[x], bit = bit, row[x]
+        x = parent[x]
+    return entering

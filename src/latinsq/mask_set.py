@@ -20,7 +20,7 @@ MAX_ORDER = 64
 
 def check_order(n: int) -> int:
     """Validate a square order, returning it unchanged."""
-    if not 1 <= n <= MAX_ORDER:
+    if type(n) is not int or not 1 <= n <= MAX_ORDER:  # a bool or float is no order
         raise OrderTooLarge(f"order must be in 1..{MAX_ORDER}, got {n}")
     return n
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: a known-good order-12 exponential square."""
+"""Shared fixtures: a known-good order-12 exponential square, and a
+scripted random source."""
 
 import pytest
 
@@ -36,3 +37,21 @@ def order12_exp_file(tmp_path):
     path = tmp_path / "order12.exp"
     path.write_text(render_rows(ORDER12_EXP))
     return path
+
+
+class Script:
+    """Random source that answers draws from ``values`` in turn and records
+    each bound asked for; a draw past the end raises LookupError, so a
+    caller can branch on every outcome of that draw."""
+
+    seed = 0
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.bounds = []
+
+    def next_below(self, bound):
+        self.bounds.append(bound)
+        if len(self.bounds) > len(self.values):
+            raise LookupError("draw past the end of the script")
+        return self.values[len(self.bounds) - 1]

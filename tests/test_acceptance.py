@@ -160,12 +160,16 @@ def test_criterion_7_codec_exhaustiveness():
     )
 
 
-def test_criterion_8_restart_bound(generation_sweep):
-    reports, _, _ = generation_sweep
-    worst = max(report.row_restarts for report in reports.values())
-    # budget exhaustion inside the sweep would have raised already
-    assert worst <= 100_000
-    print(f"[PASS] criterion 8: worst case {worst} row restarts across the sweep")
+def test_criterion_8_order64_completes():
+    slowest = 0.0
+    for seed in range(20):
+        started = time.perf_counter()
+        report = generate(64, RandomSource(seed))
+        elapsed = time.perf_counter() - started
+        assert is_latin(report.square.cells)
+        assert elapsed < 1.0
+        slowest = max(slowest, elapsed)
+    print(f"[PASS] criterion 8: 20 order-64 squares all valid, slowest in {slowest:.2f} s")
 
 
 def test_reference_square_matches_module_fixture(order12_exp):

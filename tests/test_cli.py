@@ -130,20 +130,16 @@ def test_generate_rejects_bad_seed(capsys):
     assert run(capsys, "generate", "--order", "4", "--seed", str(1 << 64))[0] == 2
 
 
-def test_generate_restart_budget_exit_code(capsys):
-    # any seed needing two or more restarts trips a cap of one
-    seed = next(
-        s for s in range(500) if generate(7, RandomSource(s)).row_restarts >= 2
-    )
-    code, _, err = run(
-        capsys, "generate", "--order", "7", "--seed", str(seed), "--max-restarts", "1"
-    )
-    assert code == 3
-    assert "restart" in err
+def test_generate_order64_completes(capsys):
+    code, out, err = run(capsys, "generate", "--order", "64", "--seed", "0")
+    assert code == 0
+    assert err == ""
+    rows = [[int(tok) for tok in line.split()] for line in out.splitlines()]
+    assert validator.is_latin(rows)
 
 
-README_GRID = "1 2 5 3 4\n2 4 3 5 1\n5 1 4 2 3\n3 5 1 4 2\n4 3 2 1 5\n"
-README_EXP = "1 2 16 4 8\n2 8 4 16 1\n16 1 8 2 4\n4 16 1 8 2\n8 4 2 1 16\n"
+README_GRID = "1 2 5 3 4\n2 4 3 5 1\n5 3 4 1 2\n3 1 2 4 5\n4 5 1 2 3\n"
+README_EXP = "1 2 16 4 8\n2 8 4 16 1\n16 4 8 1 2\n4 1 2 8 16\n8 16 1 2 4\n"
 
 
 def test_readme_examples(capsys, tmp_path):
@@ -157,11 +153,11 @@ def test_readme_examples(capsys, tmp_path):
     assert grid.splitlines()[0] == "6 3 9 1 2 12 10 4 7 11 5 8"
 
 
-# sha256 over the output of every call below, as released in 0.1.0
-GOLDEN_OUTPUT = "f28a354916ab64f81907dad8996b59b45724419462e2e8c23237d11f45effe57"
+# sha256 over the output of every call below, as released in 0.3.0
+GOLDEN_OUTPUT = "757ca850b33df87c52b990d60cfc10989ea8e39b9f35f80643731bbc759090c0"
 
 
-def test_generate_output_unchanged_since_0_1_0(capsys):
+def test_generate_output_unchanged_since_0_3_0(capsys):
     digest = hashlib.sha256()
     for fmt in ("grid", "exp", "json"):
         for order in range(1, 25):
@@ -265,6 +261,20 @@ def test_validate_deeply_nested_json(capsys, monkeypatch, text):
     assert err == "error: JSON input is nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1\n" * 10**5, "1 " * 10**5 + "\n", "1\n" * 64 + "x\n" * 10**5, "x " * 10**5 + "\n"],
+    ids=["rows", "tokens", "rows-after-64", "bad-tokens"],
+)
+def test_validate_refuses_oversized_text_early(capsys, monkeypatch, text):
+    # the bad tokens past the limit are never converted, so only the size is reported
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input square is larger than 64 x 64\n"
+
+
 def test_validate_multi_square_reports_offender(capsys, tmp_path):
     path = tmp_path / "two.grid"
     path.write_text("1 2\n2 1\n\n1 2\n1 2\n")
@@ -345,7 +355,7 @@ def test_bench_smoke(capsys):
     assert code == 0
     assert "bitmask" in out
     assert "bool array" in out
-    assert "restarts" in out
+    assert "repairs" in out
 
 
 def test_bench_order1(capsys):
@@ -357,10 +367,10 @@ def test_bench_order1(capsys):
 @pytest.mark.parametrize("order", [2, 5, 9])
 def test_naive_baseline_matches_bitmask_path(order):
     for seed in (0, 1, 17):
-        grid, naive_restarts = _naive_generate(order, RandomSource(seed))
+        grid, naive_repairs = _naive_generate(order, RandomSource(seed))
         report = generate(order, RandomSource(seed))
         assert tuple(tuple(row) for row in grid) == report.square.cells
-        assert naive_restarts == report.row_restarts
+        assert naive_repairs == report.repairs
 
 
 # ---------------------------------------------------------------- usage

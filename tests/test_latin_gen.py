@@ -1,29 +1,24 @@
-"""Generator soundness, determinism, restarts, and the exponential view."""
+"""Generator soundness, determinism, repairs, and the exponential view."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinsq.errors import OrderTooLarge, RestartBudgetExhausted
-from latinsq.latin_gen import LatinSquare, generate
+from latinsq.errors import OrderTooLarge
+from latinsq.latin_gen import LatinSquare, _repair_row, generate
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
 from latinsq.validator import is_exponential_latin, is_latin
 
-
-def find_restarting_seed(order=7, min_restarts=2, tries=500):
-    """First seed whose run needs at least ``min_restarts`` row restarts."""
-    for seed in range(tries):
-        report = generate(order, RandomSource(seed))
-        if report.row_restarts >= min_restarts:
-            return seed, report.row_restarts
-    raise AssertionError(f"no seed below {tries} restarts at order {order}")
+from conftest import Script
 
 
 def test_order1_is_the_unique_square():
     report = generate(1, RandomSource(99))
     assert report.square.cells == ((1,),)
-    assert report.row_restarts == 0
+    assert report.repairs == 0
 
 
 def test_order2_produces_exactly_the_two_squares():
@@ -44,7 +39,7 @@ def test_order12_fixed_seed_valid_and_repeatable():
     first = generate(12, RandomSource(42))
     second = generate(12, RandomSource(42))
     assert first.square == second.square
-    assert first.row_restarts == second.row_restarts
+    assert first.repairs == second.repairs
     assert is_exponential_latin(first.square.exponential)
     assert all(1 <= v <= 12 for row in first.square.cells for v in row)
 
@@ -62,29 +57,42 @@ def test_report_records_seed_and_timing():
     report = generate(5, src)
     assert report.seed == 1717
     assert report.elapsed >= 0.0
-    assert report.row_restarts >= 0
+    assert report.repairs >= 0
 
 
-def test_restart_budget_exhausted():
-    seed, restarts = find_restarting_seed()
-    assert restarts >= 2
-    with pytest.raises(RestartBudgetExhausted) as excinfo:
-        generate(7, RandomSource(seed), max_row_restarts=1)
-    err = excinfo.value
-    assert err.order == 7
-    assert err.seed == seed
-    assert err.row_restarts == 2  # raised on the first restart past the cap
-    assert 0 <= err.rows_completed < 7
+@pytest.mark.parametrize("draw, expected", [(0, [2, 4, 1]), (1, [4, 1, 2])])
+def test_repair_shifts_symbols_along_the_drawn_path(draw, expected):
+    # under the row 1 2 3, the partial row 2 1 _ leaves no symbol for the last cell
+    row = [0b010, 0b001, 0]
+    src = Script([draw, 0, 0])
+    assert _repair_row(row, 2, [0b001, 0b010, 0b100], 0b111, src) == 0b100
+    # reached columns with a free symbol: the second, then the first (symbol 3 each);
+    # then the odds draw and the draw of that one symbol
+    assert src.bounds == [2, 1, 1]
+    assert row == expected
 
 
-def test_unlimited_budget():
-    report = generate(10, RandomSource(5), max_row_restarts=None)
-    assert is_latin(report.square.cells)
-
-
-def test_budget_must_be_positive():
-    with pytest.raises(ValueError):
-        generate(4, RandomSource(0), max_row_restarts=0)
+def test_repair_draws_every_candidate_equally_often():
+    # order 5: the row 3 2 4 _ under columns holding {2,4} {4,5} {2,3} {1,5}
+    # reaches column 2 with free symbol 1, and columns 1 and 3 with 1 and 5
+    odds = Counter()
+    scripts = [[]]
+    while scripts:
+        script = scripts.pop()
+        row = [0b00100, 0b00010, 0b01000, 0]
+        src = Script(script)
+        try:
+            _repair_row(row, 3, [0b01010, 0b11000, 0b00110, 0b10001], 0b11111, src)
+        except LookupError:
+            if len(script) < 3:  # one column draw, one odds draw, one symbol draw
+                scripts.extend(script + [v] for v in range(src.bounds[-1]))
+            continue  # longer scripts follow a rejected column draw
+        weight = 1.0
+        for bound in src.bounds:
+            weight /= bound
+        odds[tuple(row)] += weight
+    assert len(odds) == 5
+    assert all(p == pytest.approx(1 / 6) for p in odds.values())  # accepted 5/6 of the time
 
 
 def test_reachability_order3():

@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latinsq.errors import NotASubset, OrderMismatch, OrderTooLarge, SymbolOutOfRange
+from latinsq.latin_gen import generate
 from latinsq.mask_set import (
     SubsetMask,
+    check_order,
     complement_in_universe,
     contains,
     decode,
@@ -20,6 +22,7 @@ from latinsq.mask_set import (
     union,
     universe,
 )
+from latinsq.oracle_enum import count_all
 
 # ---------------------------------------------------------------- oracles
 
@@ -288,6 +291,13 @@ def test_mask_rejects_bad_order():
         SubsetMask(0, 0)
     with pytest.raises(OrderTooLarge):
         SubsetMask(0, 65)
+
+
+@pytest.mark.parametrize("order", [3.5, 2.5, 3.0, True, False, "3", None])
+@pytest.mark.parametrize("call", [check_order, generate, count_all, universe])
+def test_non_integer_orders_rejected(call, order):
+    with pytest.raises(OrderTooLarge):
+        call(order)
 
 
 def test_homomorphisms_randomized_sample():
