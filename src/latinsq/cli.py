@@ -15,6 +15,7 @@ Exit codes
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -57,7 +58,7 @@ def _parse_text(text: str) -> list[list[list[int]]]:
             if len(tokens) > MAX_ORDER or len(current) == MAX_ORDER:
                 raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
             try:
-                current.append([int(tok) for tok in tokens])
+                current.append(list(map(int, tokens)))
             except ValueError:
                 raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
         elif current:
@@ -103,7 +104,7 @@ def _load_matrices(path: str) -> tuple[list[list[list[int]]], bool]:
 
 
 def _render_text(cells) -> str:
-    return "".join(" ".join(str(v) for v in row) + "\n" for row in cells)
+    return "".join(" ".join(map(str, row)) + "\n" for row in cells)
 
 
 def _emit_blocks(blocks: list[str]) -> None:
@@ -128,10 +129,8 @@ def _cmd_generate(args) -> int:
     # batch can be regenerated on its own
     squares = [generate(args.order, base.spawn(i)).square for i in range(args.count)]
     if args.format == "json":
-        payload = [
-            {"order": square.order, "cells": [list(row) for row in square.cells]}
-            for square in squares
-        ]
+        # json.dumps writes the cell tuples as arrays
+        payload = [{"order": square.order, "cells": square.cells} for square in squares]
         body = payload[0] if len(payload) == 1 else payload
         sys.stdout.write(json.dumps(body) + "\n")
     else:
@@ -254,7 +253,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  Parsing keeps
+    no state in it, and argparse looks ``sys.stderr`` up on each message."""
     parser = argparse.ArgumentParser(
         prog="latinsq",
         description="Generate, validate, convert, count and benchmark Latin squares.",

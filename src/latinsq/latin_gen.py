@@ -58,7 +58,7 @@ class LatinSquare:
         verdict = validator.is_exponential_latin(rows)
         if not verdict:
             raise ValueError(verdict.message)
-        return cls._trusted(tuple(tuple(v.bit_length() for v in row) for row in rows))
+        return cls._trusted(tuple(tuple(map(int.bit_length, row)) for row in rows))
 
     @classmethod
     def _trusted(cls, cells: Cells) -> "LatinSquare":
@@ -108,7 +108,7 @@ def generate(order: int, source: RandomSource | None = None) -> GenerationReport
             row_used |= pick
         for j, bits in enumerate(row):
             col_used[j] |= bits
-        rows.append(tuple(bits.bit_length() for bits in row))
+        rows.append(tuple(map(int.bit_length, row)))
     square = LatinSquare._trusted(tuple(rows))
     return GenerationReport(square, src.seed, repairs, time.perf_counter() - started)
 

@@ -2,12 +2,29 @@
 
 Both checks run on plain sequences of rows, so unparsed or hand-built
 input can be screened before it is wrapped in the square type.
-Row and column scans use the packed-set representation: a duplicate
-symbol is a bit seen twice, and n distinct in-range symbols necessarily
-fill the n-bit universe.
+
+An exponential row is checked as one packed word.  Its cells are
+one-bit symbol sets, so the row is a permutation of the powers
+2**0 .. 2**(n-1) exactly when no cell is 0 and both the union and the
+sum of its cells equal the universe 2**n - 1:
+
+* the union equals the universe, so no cell is negative and no cell has
+  a bit outside the universe;
+* the sum equals the union, so the cells are pairwise disjoint;
+* n nonzero pairwise disjoint subsets of an n-bit universe are its n
+  singletons.
+
+Once every row passes, every cell is a single power, and a column of n
+powers sums to 2**n - 1 only when no two are equal (two equal powers
+carry, which leaves fewer than n one bits in the sum).
+
+The per-cell scans below run only after a row or column has failed, to
+name the first offender.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import MalformedMatrix
@@ -28,6 +45,7 @@ class ValidationResult:
 
 
 _VALID = ValidationResult(True)
+_INT_ONLY = frozenset({int})  # bool is an int subclass but no symbol
 
 
 def _square_order(matrix: Matrix) -> int:
@@ -40,11 +58,24 @@ def _square_order(matrix: Matrix) -> int:
             raise MalformedMatrix(
                 f"matrix is not square: {n} rows but row {i} has {len(row)} entries"
             )
-        for v in row:
-            if type(v) is not int:  # bool is an int subclass but no symbol
-                raise MalformedMatrix(f"row {i} holds a non-integer entry {v!r}")
+        if set(map(type, row)) != _INT_ONLY:
+            v = next(v for v in row if type(v) is not int)
+            raise MalformedMatrix(f"row {i} holds a non-integer entry {v!r}")
     check_order(n)
     return n
+
+
+def _first_offender(line: str, symbols, n: int) -> ValidationResult:
+    """The verdict on a failing row or column: its first symbol that is
+    outside 1..n or seen twice."""
+    seen = set()
+    for v in symbols:
+        if not 1 <= v <= n:
+            return ValidationResult(False, f"{line} contains {v}, outside 1..{n}")
+        if v in seen:
+            return ValidationResult(False, f"{line} duplicates {v}")
+        seen.add(v)
+    raise AssertionError(f"{line} is a permutation")  # callers pass a failing line
 
 
 def is_latin(matrix: Matrix) -> ValidationResult:
@@ -55,35 +86,47 @@ def is_latin(matrix: Matrix) -> ValidationResult:
     ``column 1 duplicates 1``, ``row 1 contains 9, outside 1..4``.
     """
     n = _square_order(matrix)
+    symbols = frozenset(range(1, n + 1))
     for i, row in enumerate(matrix, start=1):
-        seen = 0
-        for v in row:
-            if not 1 <= v <= n:
-                return ValidationResult(False, f"row {i} contains {v}, outside 1..{n}")
-            bit = 1 << (v - 1)
-            if seen & bit:
-                return ValidationResult(False, f"row {i} duplicates {v}")
-            seen |= bit
-    for j in range(n):
-        seen = 0
-        for i in range(n):
-            bit = 1 << (matrix[i][j] - 1)
-            if seen & bit:
-                return ValidationResult(False, f"column {j + 1} duplicates {matrix[i][j]}")
-            seen |= bit
+        if set(row) != symbols:
+            return _first_offender(f"row {i}", row, n)
+    for j, col in enumerate(zip(*matrix), start=1):
+        if set(col) != symbols:
+            return _first_offender(f"column {j}", col, n)
     return _VALID
 
 
 def is_exponential_latin(matrix: Matrix) -> ValidationResult:
     """Whether every cell is a power of two in 1..2**(n-1) whose
-    symbol form (log2 + 1) is a Latin square."""
+    symbol form (log2 + 1) is a Latin square.
+
+    A cell that is not such a power, anywhere, is reported before the
+    first duplicate; duplicates are reported as symbols, rows first.
+    """
     n = _square_order(matrix)
-    top = 1 << (n - 1)
+    full = (1 << n) - 1
     for i, row in enumerate(matrix, start=1):
-        for j, v in enumerate(row, start=1):
+        if sum(row) != full or reduce(or_, row) != full or 0 in row:
+            # a non-power anywhere outranks this row's duplicate
+            offender = _first_non_power(matrix, n, i)
+            if offender is None:
+                return _first_offender(f"row {i}", map(int.bit_length, row), n)
+            return offender
+    for j, col in enumerate(zip(*matrix), start=1):
+        if sum(col) != full:
+            return _first_offender(f"column {j}", map(int.bit_length, col), n)
+    return _VALID
+
+
+def _first_non_power(matrix: Matrix, n: int, start: int) -> ValidationResult | None:
+    """The first cell, from row ``start`` on, that is not a power of two
+    in 1..2**(n-1); rows before ``start`` passed the packed test."""
+    top = 1 << (n - 1)
+    for i in range(start, n + 1):
+        for j, v in enumerate(matrix[i - 1], start=1):
             if v < 1 or v > top or v & (v - 1):
                 return ValidationResult(
                     False,
                     f"row {i} column {j} contains {v}, not a power of two in 1..{top}",
                 )
-    return is_latin([[v.bit_length() for v in row] for row in matrix])
+    return None

@@ -390,3 +390,11 @@ def test_bad_format_flag(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    code, out, err = run(capsys, "generate", "--order", "4", "--format", "xml")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'xml'" in err  # on this test's stderr, not a stale one
+    assert run(capsys, "generate", "--order", "1", "--seed", "7") == (0, "1\n", "")
+    assert cli._build_parser() is cli._build_parser()

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latinsq.errors import MalformedMatrix, OrderTooLarge
+from latinsq.errors import LatinSqError, MalformedMatrix, OrderTooLarge
 from latinsq.latin_gen import generate
+from latinsq.mask_set import check_order
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
-from latinsq.validator import is_exponential_latin, is_latin
+from latinsq.validator import ValidationResult, is_exponential_latin, is_latin
 
 
 def test_single_cell():
@@ -75,6 +78,7 @@ def test_order12_mutation_detected(order12_exp):
         [[1, "x"], [2, 1]],
         [[1.0, 2], [2, 1]],
         [[True]],
+        [[1, 2], [2, 1.0]],
     ],
 )
 def test_malformed_matrices(bad):
@@ -82,6 +86,7 @@ def test_malformed_matrices(bad):
         is_latin(bad)
     with pytest.raises(MalformedMatrix):
         is_exponential_latin(bad)
+    assert_same_as_reference(bad)
 
 
 def test_booleans_are_not_symbols():
@@ -132,3 +137,141 @@ def test_generated_squares_pass_both_checks():
         report = generate(6, RandomSource(seed))
         assert is_exponential_latin(report.square.exponential)
         assert is_latin(report.square.cells)
+
+
+# ------------------------------------------------- per-cell reference
+#
+# The per-cell predicates that the packed row and column checks replaced.
+# Both must give the same verdict, the same message and the same exception.
+
+
+def _reference_order(matrix):
+    n = len(matrix)
+    if n == 0:
+        raise MalformedMatrix("matrix is empty")
+    for i, row in enumerate(matrix, start=1):
+        if len(row) != n:
+            raise MalformedMatrix(
+                f"matrix is not square: {n} rows but row {i} has {len(row)} entries"
+            )
+        for v in row:
+            if type(v) is not int:
+                raise MalformedMatrix(f"row {i} holds a non-integer entry {v!r}")
+    check_order(n)
+    return n
+
+
+def reference_is_latin(matrix):
+    n = _reference_order(matrix)
+    for i, row in enumerate(matrix, start=1):
+        seen = 0
+        for v in row:
+            if not 1 <= v <= n:
+                return ValidationResult(False, f"row {i} contains {v}, outside 1..{n}")
+            bit = 1 << (v - 1)
+            if seen & bit:
+                return ValidationResult(False, f"row {i} duplicates {v}")
+            seen |= bit
+    for j in range(n):
+        seen = 0
+        for i in range(n):
+            bit = 1 << (matrix[i][j] - 1)
+            if seen & bit:
+                return ValidationResult(False, f"column {j + 1} duplicates {matrix[i][j]}")
+            seen |= bit
+    return ValidationResult(True)
+
+
+def reference_is_exponential_latin(matrix):
+    n = _reference_order(matrix)
+    top = 1 << (n - 1)
+    for i, row in enumerate(matrix, start=1):
+        for j, v in enumerate(row, start=1):
+            if v < 1 or v > top or v & (v - 1):
+                return ValidationResult(
+                    False,
+                    f"row {i} column {j} contains {v}, not a power of two in 1..{top}",
+                )
+    return reference_is_latin([[v.bit_length() for v in row] for row in matrix])
+
+
+def _outcome(predicate, matrix):
+    try:
+        verdict = predicate(matrix)
+    except LatinSqError as exc:
+        return type(exc), str(exc)
+    return verdict.ok, verdict.message
+
+
+def assert_same_as_reference(matrix):
+    assert _outcome(is_latin, matrix) == _outcome(reference_is_latin, matrix)
+    assert _outcome(is_exponential_latin, matrix) == _outcome(
+        reference_is_exponential_latin, matrix
+    )
+
+
+# fault kind -> new cell value, given the order n, the cell's row and a
+# random index k in 0..n-1; the kinds in MOVES change two cells at once
+FAULTS = {
+    "symbol-out-of-range": lambda n, row, k: n + 1,
+    "power-out-of-range": lambda n, row, k: 1 << n,
+    "zero": lambda n, row, k: 0,
+    "negative": lambda n, row, k: -1 - k,
+    "huge": lambda n, row, k: 2**70,
+    "non-power": lambda n, row, k: 3 << k,
+    "boolean": lambda n, row, k: True,
+    "duplicate": lambda n, row, k: row[k],
+}
+MOVES = ["swap", "merge", "carry"]
+
+
+@st.composite
+def faulty_isotopes(draw):
+    """A row, column and symbol isotope of the cyclic square of order
+    1..64, in symbol or exponential form, with 0-3 planted faults."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    syms = draw(st.permutations(range(1, n + 1)))
+    exponential = draw(st.booleans())
+    matrix = [
+        [1 << (syms[(r + c) % n] - 1) if exponential else syms[(r + c) % n] for c in cols]
+        for r in rows
+    ]
+    cell = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(sorted(FAULTS) + MOVES))
+        i, j, k = draw(cell), draw(cell), draw(cell)
+        row = matrix[i]
+        if kind == "swap":  # two cells of one column: rows stay intact
+            row[j], matrix[k][j] = matrix[k][j], row[j]
+        elif kind == "merge":  # one cell takes another's bits: same sum and union
+            row[j], row[k] = row[j] + row[k], 0
+        elif kind == "carry":  # same sum, no zero, but a bit held twice
+            row[j], row[k] = row[j] + row[k] - 1, 1
+        else:
+            row[j] = FAULTS[kind](n, row, k)
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_isotopes())
+def test_packed_checks_match_per_cell_reference(matrix):
+    assert_same_as_reference(matrix)
+
+
+def test_non_power_anywhere_beats_an_earlier_row_duplicate(order12_exp):
+    order12_exp[1][0] = order12_exp[1][1]  # duplicate in row 2
+    order12_exp[8][4] = 3 << 4  # not a power of two, row 9
+    message = "row 9 column 5 contains 48, not a power of two in 1..2048"
+    assert is_exponential_latin(order12_exp).message == message
+    assert_same_as_reference(order12_exp)
+
+
+def test_row_duplicate_beats_an_earlier_column_duplicate():
+    symbols = [[1, 2, 3], [1, 3, 2], [3, 3, 1]]  # column 1 holds 1 twice; row 3 holds 3 twice
+    powers = [[1 << (v - 1) for v in row] for row in symbols]
+    assert is_latin(symbols).message == "row 3 duplicates 3"
+    assert is_exponential_latin(powers).message == "row 3 duplicates 3"
+    assert_same_as_reference(symbols)
+    assert_same_as_reference(powers)
