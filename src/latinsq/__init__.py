@@ -16,11 +16,7 @@ from .errors import (
     OrderTooLargeForEnumeration,
     SymbolOutOfRange,
 )
-from .latin_gen import (
-    GenerationReport,
-    LatinSquare,
-    generate,
-)
+from .latin_gen import GenerationReport, generate
 from .mask_set import (
     MAX_ORDER,
     SubsetMask,
@@ -38,7 +34,7 @@ from .mask_set import (
 )
 from .oracle_enum import count_all, enumerate_all
 from .rng_choice import RandomSource, choice
-from .validator import ValidationResult, is_exponential_latin, is_latin
+from .validator import LatinSquare, ValidationResult, is_exponential_latin, is_latin
 
 __version__ = "0.3.0"
 

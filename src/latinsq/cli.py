@@ -21,11 +21,11 @@ import sys
 import time
 
 from .errors import LatinSqError, MalformedMatrix
-from .latin_gen import LatinSquare, _repair_row, generate
+from .latin_gen import _repair_row, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import count_all
 from .rng_choice import RandomSource
-from .validator import is_exponential_latin, is_latin
+from .validator import LatinSquare, is_exponential_latin, is_latin
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -40,11 +40,6 @@ def _read_source(path: str) -> str:
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _looks_like_json(text: str) -> bool:
-    head = text.lstrip()[:1]
-    return head in ("{", "[")
 
 
 def _parse_text(text: str) -> list[list[list[int]]]:
@@ -82,11 +77,12 @@ def _parse_json(text: str) -> list[list[list[int]]]:
         if not isinstance(item, dict) or "order" not in item or "cells" not in item:
             raise MalformedMatrix('JSON square must be {"order": n, "cells": [[...]]}')
         order, cells = item["order"], item["cells"]
+        # row lengths are left to the validator, which names a ragged row
         if (
             type(order) is not int  # rejects true/false too
             or not isinstance(cells, list)
             or len(cells) != order
-            or any(not isinstance(row, list) or len(row) != order for row in cells)
+            or not all(isinstance(row, list) for row in cells)
         ):
             raise MalformedMatrix("JSON cells do not match the declared order")
         matrices.append(cells)
@@ -95,20 +91,17 @@ def _parse_json(text: str) -> list[list[list[int]]]:
     return matrices
 
 
-def _load_matrices(path: str) -> tuple[list[list[list[int]]], bool]:
-    """Parse an input file; returns (matrices, came_from_json)."""
+def _load_matrices(path: str, exp_text: bool) -> tuple[list[list[list[int]]], bool]:
+    """Parse an input file; returns (matrices, exponential).  Text input is
+    exponential when ``exp_text`` says so; JSON always carries symbols."""
     text = _read_source(path)
-    if _looks_like_json(text):
-        return _parse_json(text), True
-    return _parse_text(text), False
+    if text.lstrip()[:1] in ("{", "["):
+        return _parse_json(text), False
+    return _parse_text(text), exp_text
 
 
 def _render_text(cells) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in cells)
-
-
-def _emit_blocks(blocks: list[str]) -> None:
-    sys.stdout.write("\n".join(blocks))
 
 
 # ---------------------------------------------------------------- commands
@@ -135,7 +128,8 @@ def _cmd_generate(args) -> int:
         sys.stdout.write(json.dumps(body) + "\n")
     else:
         exp = args.format == "exp"
-        _emit_blocks([_render_text(s.exponential if exp else s.cells) for s in squares])
+        blocks = (_render_text(s.exponential if exp else s.cells) for s in squares)
+        sys.stdout.write("\n".join(blocks))
     return EXIT_OK
 
 
@@ -145,8 +139,7 @@ def _invalid(idx: int, total: int, message: str) -> str:
 
 
 def _cmd_validate(args) -> int:
-    matrices, from_json = _load_matrices(args.file)
-    exponential = args.exp and not from_json  # JSON always carries symbols
+    matrices, exponential = _load_matrices(args.file, args.exp)
     for idx, cells in enumerate(matrices, start=1):
         verdict = is_exponential_latin(cells) if exponential else is_latin(cells)
         if not verdict:
@@ -157,9 +150,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    matrices, from_json = _load_matrices(args.file)
     # text input is taken to be in the form opposite the target
-    exponential = args.to == "grid" and not from_json
+    matrices, exponential = _load_matrices(args.file, args.to == "grid")
     build = LatinSquare.from_exponential if exponential else LatinSquare.from_rows
     blocks = []
     for idx, cells in enumerate(matrices, start=1):
@@ -169,7 +161,7 @@ def _cmd_convert(args) -> int:
             print(_invalid(idx, len(matrices), str(exc)), file=sys.stderr)
             return EXIT_INVALID
         blocks.append(_render_text(square.exponential if args.to == "exp" else square.cells))
-    _emit_blocks(blocks)
+    sys.stdout.write("\n".join(blocks))
     return EXIT_OK
 
 
@@ -239,13 +231,6 @@ def _naive_generate(n, src):
 # ---------------------------------------------------------------- parser
 
 
-def _seed_arg(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < (1 << 64):
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit value")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -253,11 +238,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, without the usage text."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.  Parsing keeps
-    no state in it, and argparse looks ``sys.stderr`` up on each message."""
-    parser = argparse.ArgumentParser(
+    no state in it, and argparse looks ``sys.stderr`` up on each message.
+    Subparsers inherit ``_Parser`` through ``add_subparsers``."""
+    parser = _Parser(
         prog="latinsq",
         description="Generate, validate, convert, count and benchmark Latin squares.",
     )
@@ -267,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--order", "-n", type=int, required=True, help="square order, 1..64")
     gen.add_argument(
         "--seed",
-        type=_seed_arg,
+        type=int,
         help="unsigned 64-bit seed; drawn from OS entropy and echoed to stderr when omitted",
     )
     gen.add_argument("--count", type=_positive_int, default=1, help="squares to emit (default 1)")
@@ -297,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--iterations", type=_positive_int, default=10, help="squares per implementation (default 10)"
     )
-    bench.add_argument("--seed", type=_seed_arg, help="base seed (entropy when omitted)")
+    bench.add_argument("--seed", type=int, help="base seed (entropy when omitted)")
     bench.set_defaults(func=_cmd_bench)
 
     return parser

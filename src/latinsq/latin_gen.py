@@ -8,64 +8,14 @@ symbol is repaired in place: symbols already in the row shift along an
 augmenting path until one of them frees a symbol for the cell.  A
 completed Latin rectangle always extends to a full square, so such a
 path always exists and no row is ever thrown away.
-
-A square stores its symbols 1..n.  Its exponential form, the powers
-2**0 .. 2**(n-1), is a view related by cell = 2**(symbol - 1).
 """
 
 import time
 from dataclasses import dataclass
 
-from . import validator
 from .mask_set import check_order
 from .rng_choice import RandomSource, select_bit
-
-Cells = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class LatinSquare:
-    """n x n matrix in which every row and column is a permutation of 1..n.
-
-    Every public constructor validates its input; squares this package
-    builds itself are Latin by construction and skip the check.
-    """
-
-    cells: Cells
-
-    def __post_init__(self):
-        verdict = validator.is_latin(self.cells)
-        if not verdict:
-            raise ValueError(verdict.message)
-
-    @property
-    def order(self) -> int:
-        return len(self.cells)
-
-    @property
-    def exponential(self) -> Cells:
-        """The cells in exponential form: symbol k becomes 2**(k-1)."""
-        return tuple(tuple(1 << (v - 1) for v in row) for row in self.cells)
-
-    @classmethod
-    def from_rows(cls, rows) -> "LatinSquare":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
-    def from_exponential(cls, rows) -> "LatinSquare":
-        """The square whose exponential form is ``rows``; each cell 2**(k-1)
-        becomes the symbol k."""
-        verdict = validator.is_exponential_latin(rows)
-        if not verdict:
-            raise ValueError(verdict.message)
-        return cls._trusted(tuple(tuple(map(int.bit_length, row)) for row in rows))
-
-    @classmethod
-    def _trusted(cls, cells: Cells) -> "LatinSquare":
-        """Wrap cells already known to be Latin, without checking them."""
-        square = object.__new__(cls)
-        object.__setattr__(square, "cells", cells)
-        return square
+from .validator import LatinSquare
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ generator's machinery.
 from math import factorial
 
 from .errors import OrderTooLargeForEnumeration
-from .latin_gen import LatinSquare
 from .mask_set import check_order
+from .validator import LatinSquare
 
 ENUMERATION_CAP = 4  # full materialization
 COUNT_CAP = 6  # counting reduced squares without materialization

@@ -20,8 +20,8 @@ class RandomSource:
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = random.SystemRandom().getrandbits(64)
-        if not 0 <= seed <= _WORD64:
-            raise ValueError(f"seed must be an unsigned 64-bit value, got {seed}")
+        if type(seed) is not int or not 0 <= seed <= _WORD64:  # a bool or float is no seed
+            raise ValueError(f"seed must be an unsigned 64-bit value, got {seed!r}")
         self.seed = seed
         self._rng = random.Random(seed)
 

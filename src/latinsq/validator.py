@@ -1,4 +1,5 @@
-"""Latin-square predicates on raw integer matrices.
+"""Latin-square predicates on raw integer matrices, and the square type
+they guard.
 
 Both checks run on plain sequences of rows, so unparsed or hand-built
 input can be screened before it is wrapped in the square type.
@@ -31,6 +32,7 @@ from .errors import MalformedMatrix
 from .mask_set import check_order
 
 Matrix = Sequence[Sequence[int]]
+Cells = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -130,3 +132,52 @@ def _first_non_power(matrix: Matrix, n: int, start: int) -> ValidationResult | N
                     f"row {i} column {j} contains {v}, not a power of two in 1..{top}",
                 )
     return None
+
+
+@dataclass(frozen=True)
+class LatinSquare:
+    """n x n matrix in which every row and column is a permutation of 1..n.
+
+    Every public constructor validates its own tuple copy of the input;
+    squares the package builds itself are Latin by construction and skip
+    the check.  A square stores its symbols 1..n.  Its exponential form,
+    the powers 2**0 .. 2**(n-1), is a view related by cell = 2**(symbol - 1).
+    """
+
+    cells: Cells
+
+    def __post_init__(self):
+        cells = tuple(map(tuple, self.cells))
+        verdict = is_latin(cells)
+        if not verdict:
+            raise ValueError(verdict.message)
+        object.__setattr__(self, "cells", cells)
+
+    @property
+    def order(self) -> int:
+        return len(self.cells)
+
+    @property
+    def exponential(self) -> Cells:
+        """The cells in exponential form: symbol k becomes 2**(k-1)."""
+        return tuple(tuple(1 << (v - 1) for v in row) for row in self.cells)
+
+    @classmethod
+    def from_rows(cls, rows) -> "LatinSquare":
+        return cls(rows)
+
+    @classmethod
+    def from_exponential(cls, rows) -> "LatinSquare":
+        """The square whose exponential form is ``rows``; each cell 2**(k-1)
+        becomes the symbol k."""
+        verdict = is_exponential_latin(rows)
+        if not verdict:
+            raise ValueError(verdict.message)
+        return cls._trusted(tuple(tuple(map(int.bit_length, row)) for row in rows))
+
+    @classmethod
+    def _trusted(cls, cells: Cells) -> "LatinSquare":
+        """Wrap cells already known to be Latin, without checking them."""
+        square = object.__new__(cls)
+        object.__setattr__(square, "cells", cells)
+        return square

@@ -126,7 +126,9 @@ def test_generate_rejects_order_before_drawing_a_seed(capsys, order):
 
 
 def test_generate_rejects_bad_seed(capsys):
-    assert run(capsys, "generate", "--order", "4", "--seed", "-1")[0] == 2
+    assert run(capsys, "generate", "--order", "4", "--seed", "-1") == (
+        2, "", "error: seed must be an unsigned 64-bit value, got -1\n"
+    )
     assert run(capsys, "generate", "--order", "4", "--seed", str(1 << 64))[0] == 2
 
 
@@ -275,6 +277,17 @@ def test_validate_refuses_oversized_text_early(capsys, monkeypatch, text):
     assert err == "error: input square is larger than 64 x 64\n"
 
 
+@pytest.mark.parametrize("to", [None, "exp", "grid"])
+def test_ragged_json_rows_are_named(capsys, monkeypatch, to):
+    text = json.dumps({"order": 2, "cells": [[1, 2], [2, 1, 3]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    argv = ["validate", "-"] if to is None else ["convert", "-", "--to", to]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix is not square: 2 rows but row 2 has 3 entries\n"
+
+
 def test_validate_multi_square_reports_offender(capsys, tmp_path):
     path = tmp_path / "two.grid"
     path.write_text("1 2\n2 1\n\n1 2\n1 2\n")
@@ -376,16 +389,39 @@ def test_naive_baseline_matches_bitmask_path(order):
 # ---------------------------------------------------------------- usage
 
 
-def test_no_command_is_usage_error(capsys):
-    assert run(capsys)[0] == 2
-
-
-def test_unknown_command(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
-
-
-def test_bad_format_flag(capsys):
-    assert run(capsys, "generate", "--order", "4", "--format", "xml")[0] == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["generate", "--order", "4", "--format", "xml"],
+        ["generate"],
+        ["generate", "--order", "x"],
+        ["generate", "--order", "4", "--count", "0"],
+        ["bench", "--order", "4", "--iterations", "0"],
+        ["generate", "--order", "4", "--seed", "-1"],
+        ["generate", "--order", "4", "--seed", str(1 << 64)],
+        ["bench", "--order", "4", "--seed", "-1"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "bad-format",
+        "missing-order",
+        "order-not-int",
+        "count-zero",
+        "iterations-zero",
+        "seed-negative",
+        "seed-too-large",
+        "bench-seed-negative",
+    ],
+)
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_help_exits_zero(capsys):

@@ -1,4 +1,5 @@
-"""Fuzz of the read path: ``validate -`` and ``convert -`` on arbitrary stdin.
+"""Fuzz of the read path: ``validate -`` and ``convert -`` on arbitrary stdin,
+and of the argument parser: argv drawn from the CLI's own vocabulary.
 
 Whatever the input, the command exits 0, 1 or 2, writes at most one line
 to stderr (an ``error:`` line on exit 2) and raises nothing.  The
@@ -168,3 +169,69 @@ def test_convert_fuzz(text, to):
     assert (code == 0) == oracle_is_latin(text, to == "grid")
     if code != 0:
         assert out == ""
+
+
+# ---------------------------------------------------------------- argv
+
+COMMANDS = ("generate", "validate", "convert", "count", "bench")
+BAD = ("0", "-1", "65", "x", "2.5", "")
+# per flag, the values it takes and the values it refuses; a size stays
+# at most 3, so every example runs in milliseconds
+FLAGS = {
+    "--order": (("1", "2", "3"), BAD),
+    "-n": (("1", "2", "3"), BAD),
+    "--seed": (("0", "3", "65"), BAD),
+    "--count": (("1", "2", "3"), ("0", "-1", "x", "2.5", "")),
+    "--iterations": (("1", "2", "3"), ("0", "-1", "x", "2.5", "")),
+    "--format": (("grid", "exp", "json"), BAD),
+    "--to": (("grid", "exp"), BAD + ("json",)),
+}
+# the flags each command takes, and "-" for its one file argument
+USES = {
+    "generate": ("--order", "-n", "--seed", "--count", "--format"),
+    "validate": ("-", "--exp"),
+    "convert": ("-", "--to"),
+    "count": ("--order", "-n"),
+    "bench": ("--order", "-n", "--seed", "--iterations"),
+}
+
+
+def _join(command, tail):
+    return command + [word for part in tail for word in part]
+
+
+def _fitting(command):
+    """The command with each word it takes, present or not, in any order."""
+    groups = [
+        (st.sampled_from(FLAGS[word][0]) | st.sampled_from(FLAGS[word][1])).map(
+            lambda value, flag=word: [flag, value]
+        )
+        if word in FLAGS
+        else st.just([word])
+        for word in USES[command]
+    ]
+    present = st.tuples(*(st.just([]) | group for group in groups))
+    return present.flatmap(st.permutations).map(lambda tail: _join([command], tail))
+
+
+anywhere = [[flag, value] for flag, (good, bad) in FLAGS.items() for value in good + bad]
+anywhere += [[word] for word in sorted(FLAGS) + ["--exp", "-", "1", "2"] + list(BAD)]
+
+argvs = st.one_of(
+    st.sampled_from(COMMANDS).flatmap(_fitting),  # some of these succeed
+    st.builds(
+        _join,
+        st.sampled_from([[c] for c in COMMANDS] + [[]]),
+        st.lists(st.sampled_from(anywhere), max_size=5),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs, inputs)
+def test_argv_fuzz(argv, text):
+    code, out, err = run(argv, text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

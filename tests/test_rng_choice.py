@@ -59,6 +59,12 @@ def test_seed_recorded_and_validated():
         RandomSource(1 << 64)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "7"], ids=["float", "bool", "str"])
+def test_seed_must_be_a_plain_int(seed):
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit value"):
+        RandomSource(seed)
+
+
 def test_spawn_derives_seed_plus_index():
     base = RandomSource(100)
     assert base.spawn(0).seed == 100

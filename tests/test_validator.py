@@ -1,4 +1,5 @@
-"""Latin and exponential-Latin predicates, messages, malformed input."""
+"""Latin and exponential-Latin predicates, messages, malformed input, and
+the square type that keeps what they checked."""
 
 import random
 
@@ -11,7 +12,7 @@ from latinsq.latin_gen import generate
 from latinsq.mask_set import check_order
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
-from latinsq.validator import ValidationResult, is_exponential_latin, is_latin
+from latinsq.validator import LatinSquare, ValidationResult, is_exponential_latin, is_latin
 
 
 def test_single_cell():
@@ -275,3 +276,33 @@ def test_row_duplicate_beats_an_earlier_column_duplicate():
     assert is_exponential_latin(powers).message == "row 3 duplicates 3"
     assert_same_as_reference(symbols)
     assert_same_as_reference(powers)
+
+
+# ---------------------------------------------------------------- square type
+
+
+def test_square_equals_and_hashes_like_from_rows():
+    square = LatinSquare([[1, 2], [2, 1]])
+    assert square == LatinSquare.from_rows([[1, 2], [2, 1]])
+    assert hash(square) == hash(LatinSquare.from_rows([(1, 2), (2, 1)]))
+    assert square.cells == ((1, 2), (2, 1))
+    assert all(type(row) is tuple for row in square.cells) and type(square.cells) is tuple
+
+
+@pytest.mark.parametrize(
+    "build", [LatinSquare, LatinSquare.from_rows, LatinSquare.from_exponential]
+)
+def test_square_keeps_its_own_copy_of_the_rows(build):
+    rows = [[1, 2], [2, 1]]
+    square = build(rows)
+    rows[0][0] = 2
+    rows[1] = [7, 7]
+    assert square.cells == ((1, 2), (2, 1))
+    assert is_latin(square.cells)
+
+
+def test_square_constructor_still_validates():
+    with pytest.raises(ValueError, match="column 1 duplicates 1"):
+        LatinSquare([[1, 2], [1, 2]])
+    with pytest.raises(MalformedMatrix, match="row 2 has 1 entries"):
+        LatinSquare([[1, 2], [2]])
