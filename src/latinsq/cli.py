@@ -16,7 +16,6 @@ Exit codes
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -67,6 +66,7 @@ def _parse_text(text: str) -> list[list[list[int]]]:
 
 
 def _parse_json(text: str) -> list[list[list[int]]]:
+    import json  # only the JSON paths load it, to keep start-up short
     try:
         data = json.loads(text)
     except RecursionError:
@@ -122,6 +122,7 @@ def _cmd_generate(args) -> int:
     # batch can be regenerated on its own
     squares = [generate(args.order, base.spawn(i)).square for i in range(args.count)]
     if args.format == "json":
+        import json
         # json.dumps writes the cell tuples as arrays
         payload = [{"order": square.order, "cells": square.cells} for square in squares]
         body = payload[0] if len(payload) == 1 else payload

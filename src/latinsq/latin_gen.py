@@ -11,15 +11,14 @@ path always exists and no row is ever thrown away.
 """
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mask_set import check_order
 from .rng_choice import RandomSource, select_bit
 from .validator import LatinSquare
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     """One generated square plus what it took to produce it."""
 
     square: LatinSquare
@@ -37,10 +36,9 @@ def generate(order: int, source: RandomSource | None = None) -> GenerationReport
     with no legal symbol is repaired in place (``_repair_row``), so every
     order up to 64 completes.
     """
-    check_order(order)
+    n = check_order(order)
     src = source if source is not None else RandomSource()
     started = time.perf_counter()
-    n = order
     full = (1 << n) - 1
     col_used = [0] * n  # per column, OR of the cells in completed rows
     rows: list[tuple[int, ...]] = []

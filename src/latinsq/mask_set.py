@@ -7,10 +7,12 @@ then collapses to word-level bit operations: union is ``|``, removing a
 contained subset is ``^``, and complement is ``^`` against the all-ones
 mask.  Bit numbering runs right to left with the rightmost bit as bit 0.
 
-Orders are capped at 64 so every mask fits one machine word.
+Orders are capped at 64 so every mask fits one machine word.  A mask is
+an immutable named tuple ``SubsetMask(bits, order)`` that checks both
+fields however it is built, ``_replace`` included.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .errors import NotASubset, OrderMismatch, OrderTooLarge, SymbolOutOfRange
@@ -26,24 +28,23 @@ def check_order(n: int) -> int:
 
 
 def _check_symbol(a: int, n: int) -> int:
-    if not 1 <= a <= n:
+    if type(a) is not int or not 1 <= a <= n:  # a bool or float is no symbol
         raise SymbolOutOfRange(f"symbol {a} outside 1..{n}")
     return a
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(namedtuple("SubsetMask", "bits order")):
     """A subset of {1, ..., order} packed into one unsigned word."""
 
-    bits: int
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_order(self.order)
-        if not 0 <= self.bits < (1 << self.order):
-            raise ValueError(
-                f"bits 0x{self.bits:x} out of range for order {self.order}"
-            )
+    def __new__(cls, bits: int, order: int):
+        check_order(order)
+        if type(bits) is not int or not 0 <= bits < (1 << order):  # a bool or float is no mask
+            raise ValueError(f"bits must be in 0..2**{order}-1, got {bits!r}")
+        return super().__new__(cls, bits, order)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def universe(n: int) -> SubsetMask:

@@ -2,7 +2,8 @@
 they guard.
 
 Both checks run on plain sequences of rows, so unparsed or hand-built
-input can be screened before it is wrapped in the square type.
+input can be screened before it is wrapped in the square type.  Square
+and verdict are immutable named tuples; a verdict is truthy when ``ok`` is.
 
 An exponential row is checked as one packed word.  Its cells are
 one-bit symbol sets, so the row is a permutation of the powers
@@ -23,10 +24,10 @@ The per-cell scans below run only after a row or column has failed, to
 name the first offender.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedMatrix
 from .mask_set import check_order
@@ -35,8 +36,7 @@ Matrix = Sequence[Sequence[int]]
 Cells = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Verdict plus, on failure, the first violation found."""
 
     ok: bool
@@ -134,8 +134,7 @@ def _first_non_power(matrix: Matrix, n: int, start: int) -> ValidationResult | N
     return None
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(namedtuple("LatinSquare", "cells")):
     """n x n matrix in which every row and column is a permutation of 1..n.
 
     Every public constructor validates its own tuple copy of the input;
@@ -144,14 +143,16 @@ class LatinSquare:
     the powers 2**0 .. 2**(n-1), is a view related by cell = 2**(symbol - 1).
     """
 
-    cells: Cells
+    __slots__ = ()
 
-    def __post_init__(self):
-        cells = tuple(map(tuple, self.cells))
+    def __new__(cls, cells: Matrix):
+        cells = tuple(map(tuple, cells))
         verdict = is_latin(cells)
         if not verdict:
             raise ValueError(verdict.message)
-        object.__setattr__(self, "cells", cells)
+        return cls._trusted(cells)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def order(self) -> int:
@@ -178,6 +179,4 @@ class LatinSquare:
     @classmethod
     def _trusted(cls, cells: Cells) -> "LatinSquare":
         """Wrap cells already known to be Latin, without checking them."""
-        square = object.__new__(cls)
-        object.__setattr__(square, "cells", cells)
-        return square
+        return tuple.__new__(cls, (cells,))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -101,6 +102,25 @@ def test_pipe_roundtrip_generate_validate(capsys, tmp_path, fmt):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.strip() == "VALID"
+
+
+def test_start_up_loads_no_dataclasses_and_json_only_on_json_paths():
+    # -S keeps site-packages hooks out; only the package's own src is on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = (
+        "import sys, latinsq.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)))\n"
+        "latinsq.cli.main(['generate', '-n', '2', '--seed', '1', '--format', 'json'])\n"
+        "print('json' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines() == ["[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "True"]
 
 
 def test_generate_deterministic_across_processes():

@@ -284,6 +284,20 @@ def test_mask_rejects_bits_out_of_range():
         SubsetMask(8, 3)
     with pytest.raises(ValueError):
         SubsetMask(-1, 3)
+    for bits in (2.5, 3.0, True, False, "3", None):  # only a plain int is a mask
+        with pytest.raises(ValueError):
+            SubsetMask(bits, 3)
+
+
+@pytest.mark.parametrize("symbol", [1.5, 2.0, True, "1", None])
+@pytest.mark.parametrize("call", [
+    lambda a: singleton(a, 3),
+    lambda a: encode([1, a], 3),
+    lambda a: contains(universe(3), a),
+], ids=["singleton", "encode", "contains"])
+def test_non_integer_symbols_rejected(call, symbol):
+    with pytest.raises(SymbolOutOfRange):
+        call(symbol)
 
 
 def test_mask_rejects_bad_order():
