@@ -13,7 +13,6 @@ from .errors import (
     NotASubset,
     OrderMismatch,
     OrderTooLarge,
-    OrderTooLargeForEnumeration,
     SymbolOutOfRange,
 )
 from .latin_gen import GenerationReport, generate
@@ -36,7 +35,7 @@ from .oracle_enum import count_all, enumerate_all
 from .rng_choice import RandomSource, choice
 from .validator import LatinSquare, ValidationResult, is_exponential_latin, is_latin
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ChoiceImpossible",
@@ -49,7 +48,6 @@ __all__ = [
     "NotASubset",
     "OrderMismatch",
     "OrderTooLarge",
-    "OrderTooLargeForEnumeration",
     "RandomSource",
     "SubsetMask",
     "SymbolOutOfRange",

@@ -22,7 +22,7 @@ import time
 from .errors import LatinSqError, MalformedMatrix
 from .latin_gen import _repair_row, generate
 from .mask_set import MAX_ORDER, check_order
-from .oracle_enum import count_all
+from .oracle_enum import COUNT_CAP, count_all
 from .rng_choice import RandomSource
 from .validator import LatinSquare, is_exponential_latin, is_latin
 
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate random squares")
-    gen.add_argument("--order", "-n", type=int, required=True, help="square order, 1..64")
+    gen.add_argument("--order", "-n", type=int, required=True, help=f"square order, 1..{MAX_ORDER}")
     gen.add_argument(
         "--seed",
         type=int,
@@ -283,11 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(func=_cmd_convert)
 
     cnt = sub.add_parser("count", help="exact number of Latin squares of an order")
-    cnt.add_argument("--order", "-n", type=int, required=True, help="order, 1..6")
+    cnt.add_argument("--order", "-n", type=int, required=True, help=f"order, 1..{COUNT_CAP}")
     cnt.set_defaults(func=_cmd_count)
 
     bench = sub.add_parser("bench", help="time bitmask against boolean-array generation")
-    bench.add_argument("--order", "-n", type=int, required=True, help="square order, 1..64")
+    bench.add_argument("--order", "-n", type=int, required=True, help=f"square order, 1..{MAX_ORDER}")
     bench.add_argument(
         "--iterations", type=_positive_int, default=10, help="squares per implementation (default 10)"
     )

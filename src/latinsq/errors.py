@@ -6,7 +6,8 @@ class LatinSqError(Exception):
 
 
 class OrderTooLarge(LatinSqError):
-    """Square order outside the supported range 1..64."""
+    """Square order outside the range the call supports: 1..64 for
+    squares and masks, less for enumeration and counting."""
 
 
 class SymbolOutOfRange(LatinSqError):
@@ -27,10 +28,6 @@ class InvalidBound(LatinSqError):
 
 class ChoiceImpossible(LatinSqError):
     """choice called on an empty mask: there is no bit to pick."""
-
-
-class OrderTooLargeForEnumeration(LatinSqError):
-    """Brute-force enumeration and counting are capped at small orders."""
 
 
 class MalformedMatrix(LatinSqError):

@@ -7,9 +7,9 @@ then collapses to word-level bit operations: union is ``|``, removing a
 contained subset is ``^``, and complement is ``^`` against the all-ones
 mask.  Bit numbering runs right to left with the rightmost bit as bit 0.
 
-Orders are capped at 64 so every mask fits one machine word.  A mask is
-an immutable named tuple ``SubsetMask(bits, order)`` that checks both
-fields however it is built, ``_replace`` included.
+Orders run up to ``MAX_ORDER`` = 64 so every mask fits one machine word.
+A mask is an immutable named tuple ``SubsetMask(bits, order)`` that checks
+both fields however it is built, ``_replace`` included.
 """
 
 from collections import namedtuple
@@ -20,10 +20,11 @@ from .errors import NotASubset, OrderMismatch, OrderTooLarge, SymbolOutOfRange
 MAX_ORDER = 64
 
 
-def check_order(n: int) -> int:
-    """Validate a square order, returning it unchanged."""
-    if type(n) is not int or not 1 <= n <= MAX_ORDER:  # a bool or float is no order
-        raise OrderTooLarge(f"order must be in 1..{MAX_ORDER}, got {n}")
+def check_order(n: int, top: int = MAX_ORDER) -> int:
+    """Validate a square order against the range 1..top that a call
+    supports, returning it unchanged."""
+    if type(n) is not int or not 1 <= n <= top:  # a bool or float is no order
+        raise OrderTooLarge(f"order must be in 1..{top}, got {n}")
     return n
 
 

@@ -9,7 +9,6 @@ generator's machinery.
 
 from math import factorial
 
-from .errors import OrderTooLargeForEnumeration
 from .mask_set import check_order
 from .validator import LatinSquare
 
@@ -18,17 +17,14 @@ COUNT_CAP = 6  # counting reduced squares without materialization
 
 
 def enumerate_all(n: int) -> list[LatinSquare]:
-    """All Latin squares of order n, in lexicographic row-major order."""
-    check_order(n)
-    if n > ENUMERATION_CAP:
-        raise OrderTooLargeForEnumeration(
-            f"enumeration materializes every square; capped at order {ENUMERATION_CAP}"
-        )
+    """All Latin squares of order n, in lexicographic row-major order, for
+    n in 1..ENUMERATION_CAP."""
+    check_order(n, ENUMERATION_CAP)
     return [LatinSquare.from_rows(grid) for grid in _completions([[0] * n for _ in range(n)])]
 
 
 def count_all(n: int) -> int:
-    """Exact number of Latin squares of order n, capped at order 6.
+    """Exact number of Latin squares of order n, for n in 1..COUNT_CAP.
 
     Counts the reduced squares R_n, whose first row and first column are
     1..n, and returns L_n = n! (n-1)! R_n (McKay and Wanless, "On the
@@ -36,9 +32,7 @@ def count_all(n: int) -> int:
     to sort its first row, then rows 2..n to sort its first column, reaches
     each reduced square from exactly n! (n-1)! squares.
     """
-    check_order(n)
-    if n > COUNT_CAP:
-        raise OrderTooLargeForEnumeration(f"counting is capped at order {COUNT_CAP}")
+    check_order(n, COUNT_CAP)
     grid = [[0] * n for _ in range(n)]
     for k in range(n):
         grid[0][k] = grid[k][0] = k + 1

@@ -20,8 +20,11 @@ Once every row passes, every cell is a single power, and a column of n
 powers sums to 2**n - 1 only when no two are equal (two equal powers
 carry, which leaves fewer than n one bits in the sum).
 
-The per-cell scans below run only after a row or column has failed, to
-name the first offender.
+That packed test decides.  When it fails, the failure is named by the
+first cell that is not such a power or, when every cell is one, by
+``is_latin`` on the symbol form: a row or column of powers passes the
+packed test exactly when its symbols are a permutation, so both forms
+fail first at the same row or column.
 """
 
 from collections import namedtuple
@@ -107,31 +110,18 @@ def is_exponential_latin(matrix: Matrix) -> ValidationResult:
     """
     n = _square_order(matrix)
     full = (1 << n) - 1
-    for i, row in enumerate(matrix, start=1):
-        if sum(row) != full or reduce(or_, row) != full or 0 in row:
-            # a non-power anywhere outranks this row's duplicate
-            offender = _first_non_power(matrix, n, i)
-            if offender is None:
-                return _first_offender(f"row {i}", map(int.bit_length, row), n)
-            return offender
-    for j, col in enumerate(zip(*matrix), start=1):
-        if sum(col) != full:
-            return _first_offender(f"column {j}", map(int.bit_length, col), n)
-    return _VALID
-
-
-def _first_non_power(matrix: Matrix, n: int, start: int) -> ValidationResult | None:
-    """The first cell, from row ``start`` on, that is not a power of two
-    in 1..2**(n-1); rows before ``start`` passed the packed test."""
+    rows_ok = all(sum(row) == full and reduce(or_, row) == full and 0 not in row for row in matrix)
+    if rows_ok and all(sum(col) == full for col in zip(*matrix)):
+        return _VALID
     top = 1 << (n - 1)
-    for i in range(start, n + 1):
-        for j, v in enumerate(matrix[i - 1], start=1):
+    for i, row in enumerate(matrix, start=1):
+        for j, v in enumerate(row, start=1):
             if v < 1 or v > top or v & (v - 1):
                 return ValidationResult(
-                    False,
-                    f"row {i} column {j} contains {v}, not a power of two in 1..{top}",
+                    False, f"row {i} column {j} contains {v}, not a power of two in 1..{top}"
                 )
-    return None
+    # every cell is a power, so each form fails first at the same row or column
+    return is_latin([tuple(map(int.bit_length, row)) for row in matrix])
 
 
 class LatinSquare(namedtuple("LatinSquare", "cells")):
@@ -171,6 +161,7 @@ class LatinSquare(namedtuple("LatinSquare", "cells")):
     def from_exponential(cls, rows) -> "LatinSquare":
         """The square whose exponential form is ``rows``; each cell 2**(k-1)
         becomes the symbol k."""
+        rows = tuple(map(tuple, rows))
         verdict = is_exponential_latin(rows)
         if not verdict:
             raise ValueError(verdict.message)

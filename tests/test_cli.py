@@ -4,12 +4,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
+import latinsq
 from latinsq import cli, validator
 from latinsq.cli import _naive_generate, main
 from latinsq.latin_gen import generate
@@ -370,6 +372,10 @@ def test_count_known_orders(capsys, order, expected):
 def test_count_rejects_large_orders(capsys):
     assert run(capsys, "count", "--order", "7")[0] == 2
     assert run(capsys, "count", "--order", "7", "--allow-slow")[0] == 2  # no such flag
+    for order in ("0", "7"):
+        assert run(capsys, "count", "--order", order) == (
+            2, "", f"error: order must be in 1..6, got {order}\n"
+        )
 
 
 def test_count_order6(capsys):
@@ -446,6 +452,14 @@ def test_usage_error_is_one_line(capsys, argv):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_version_matches_pyproject():
+    # a regex, because Python 3.10 has no tomllib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE).group(1)
+    assert declared == latinsq.__version__
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from latinsq.errors import OrderTooLarge, OrderTooLargeForEnumeration
+from latinsq.errors import OrderTooLarge
 from latinsq.oracle_enum import count_all, enumerate_all
 from latinsq.validator import is_latin
 
@@ -35,12 +35,12 @@ def test_enumeration_is_lexicographic():
 
 
 def test_enumeration_cap():
-    with pytest.raises(OrderTooLargeForEnumeration):
+    with pytest.raises(OrderTooLarge, match="1..4, got 5"):
         enumerate_all(5)
 
 
 def test_count_cap():
-    with pytest.raises(OrderTooLargeForEnumeration):
+    with pytest.raises(OrderTooLarge, match="1..6, got 7"):
         count_all(7)
 
 

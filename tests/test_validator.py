@@ -108,13 +108,14 @@ def test_order_above_word_width_rejected():
 
 
 def test_agreement_between_forms():
-    # wherever the cells are valid powers, the two predicates agree
+    # wherever the cells are valid powers, the two predicates give the
+    # same verdict, message included
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 6)
         symbols = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
         powers = [[1 << (v - 1) for v in row] for row in symbols]
-        assert is_exponential_latin(powers).ok == is_latin(symbols).ok
+        assert is_exponential_latin(powers) == is_latin(symbols)
 
 
 def test_mutation_detection_exhaustive_small_orders():
@@ -299,6 +300,14 @@ def test_square_keeps_its_own_copy_of_the_rows(build):
     rows[1] = [7, 7]
     assert square.cells == ((1, 2), (2, 1))
     assert is_latin(square.cells)
+
+
+def test_checked_constructors_accept_an_iterator_of_iterators():
+    symbols = [[1, 2, 3], [3, 1, 2], [2, 3, 1]]
+    powers = [[1 << (v - 1) for v in row] for row in symbols]
+    square = LatinSquare(iter(map(iter, symbols)))
+    assert LatinSquare.from_exponential(iter(map(iter, powers))) == square
+    assert square.cells == tuple(map(tuple, symbols))
 
 
 def test_square_constructor_still_validates():
