@@ -153,7 +153,7 @@ def _cmd_validate(args) -> int:
 def _cmd_convert(args) -> int:
     # text input is taken to be in the form opposite the target
     matrices, exponential = _load_matrices(args.file, args.to == "grid")
-    build = LatinSquare.from_exponential if exponential else LatinSquare.from_rows
+    build = LatinSquare.from_exponential if exponential else LatinSquare
     blocks = []
     for idx, cells in enumerate(matrices, start=1):
         try:

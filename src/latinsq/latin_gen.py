@@ -1,16 +1,15 @@
 """Row-by-row random generation of Latin squares.
 
-Cells are filled left to right, top to bottom.  For each cell the set
-of symbols still legal there is the complement, within the n-bit
-universe, of everything already placed in the cell's column and in the
-row so far; one legal symbol is drawn uniformly.  A cell with no legal
-symbol is repaired in place: symbols already in the row shift along an
-augmenting path until one of them frees a symbol for the cell.  A
-completed Latin rectangle always extends to a full square, so such a
-path always exists and no row is ever thrown away.
+Cells are filled left to right, top to bottom.  For each cell the set of
+symbols still legal there is the complement, within the n-bit universe,
+of everything already placed in the cell's column and in the row so far;
+one legal symbol is drawn uniformly from the caller's source.  A cell
+with no legal symbol is repaired in place: symbols already in the row
+shift along an augmenting path until one of them frees a symbol for the
+cell.  A completed Latin rectangle always extends to a full square, so
+such a path always exists and no row is ever thrown away.
 """
 
-import time
 from typing import NamedTuple
 
 from .mask_set import check_order
@@ -19,26 +18,19 @@ from .validator import LatinSquare
 
 
 class GenerationReport(NamedTuple):
-    """One generated square plus what it took to produce it."""
+    """One generated square and what it cost, both fixed by the draws."""
 
     square: LatinSquare
-    seed: int
     repairs: int  # cells that found no legal symbol and were repaired
-    elapsed: float  # seconds
 
 
-def generate(order: int, source: RandomSource | None = None) -> GenerationReport:
-    """Generate one random Latin square of the given order.
-
-    ``source`` defaults to a fresh entropy-seeded RandomSource; pass a
-    seeded one for reproducible output.  The recorded seed reproduces
-    the square only when the source was freshly constructed.  A cell
-    with no legal symbol is repaired in place (``_repair_row``), so every
-    order up to 64 completes.
+def generate(order: int, source: RandomSource) -> GenerationReport:
+    """Generate one random Latin square of the given order, drawing from
+    ``source``; two sources in the same state give the same square.  A
+    cell with no legal symbol is repaired in place (``_repair_row``), so
+    every order up to 64 completes.
     """
     n = check_order(order)
-    src = source if source is not None else RandomSource()
-    started = time.perf_counter()
     full = (1 << n) - 1
     col_used = [0] * n  # per column, OR of the cells in completed rows
     rows: list[tuple[int, ...]] = []
@@ -49,16 +41,15 @@ def generate(order: int, source: RandomSource | None = None) -> GenerationReport
         for col in range(n):
             avail = full ^ (row_used | col_used[col])
             if avail:
-                row[col] = pick = select_bit(avail, src)
+                row[col] = pick = select_bit(avail, source)
             else:
-                pick = _repair_row(row, col, col_used, full, src)
+                pick = _repair_row(row, col, col_used, full, source)
                 repairs += 1
             row_used |= pick
         for j, bits in enumerate(row):
             col_used[j] |= bits
         rows.append(tuple(map(int.bit_length, row)))
-    square = LatinSquare._trusted(tuple(rows))
-    return GenerationReport(square, src.seed, repairs, time.perf_counter() - started)
+    return GenerationReport(LatinSquare._trusted(tuple(rows)), repairs)
 
 
 def _repair_row(row: list[int], c: int, col_used: list[int], full: int, src: RandomSource) -> int:

@@ -20,7 +20,7 @@ def enumerate_all(n: int) -> list[LatinSquare]:
     """All Latin squares of order n, in lexicographic row-major order, for
     n in 1..ENUMERATION_CAP."""
     check_order(n, ENUMERATION_CAP)
-    return [LatinSquare.from_rows(grid) for grid in _completions([[0] * n for _ in range(n)])]
+    return [LatinSquare(grid) for grid in _completions([[0] * n for _ in range(n)])]
 
 
 def count_all(n: int) -> int:

@@ -90,7 +90,11 @@ def is_latin(matrix: Matrix) -> ValidationResult:
     bottom and then columns left to right: ``row 2 duplicates 2``,
     ``column 1 duplicates 1``, ``row 1 contains 9, outside 1..4``.
     """
-    n = _square_order(matrix)
+    return _latin_verdict(matrix, _square_order(matrix))
+
+
+def _latin_verdict(matrix: Matrix, n: int) -> ValidationResult:
+    """``is_latin`` on a matrix already shape-checked to order n."""
     symbols = frozenset(range(1, n + 1))
     for i, row in enumerate(matrix, start=1):
         if set(row) != symbols:
@@ -121,7 +125,7 @@ def is_exponential_latin(matrix: Matrix) -> ValidationResult:
                     False, f"row {i} column {j} contains {v}, not a power of two in 1..{top}"
                 )
     # every cell is a power, so each form fails first at the same row or column
-    return is_latin([tuple(map(int.bit_length, row)) for row in matrix])
+    return _latin_verdict([tuple(map(int.bit_length, row)) for row in matrix], n)
 
 
 class LatinSquare(namedtuple("LatinSquare", "cells")):
@@ -152,10 +156,6 @@ class LatinSquare(namedtuple("LatinSquare", "cells")):
     def exponential(self) -> Cells:
         """The cells in exponential form: symbol k becomes 2**(k-1)."""
         return tuple(tuple(1 << (v - 1) for v in row) for row in self.cells)
-
-    @classmethod
-    def from_rows(cls, rows) -> "LatinSquare":
-        return cls(rows)
 
     @classmethod
     def from_exponential(cls, rows) -> "LatinSquare":

@@ -44,8 +44,6 @@ class Script:
     each bound asked for; a draw past the end raises LookupError, so a
     caller can branch on every outcome of that draw."""
 
-    seed = 0
-
     def __init__(self, values):
         self.values = list(values)
         self.bounds = []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinsq.errors import OrderTooLarge
-from latinsq.latin_gen import LatinSquare, _repair_row, generate
+from latinsq.latin_gen import GenerationReport, LatinSquare, _repair_row, generate
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
 from latinsq.validator import is_exponential_latin, is_latin
@@ -30,16 +30,15 @@ def test_order2_produces_exactly_the_two_squares():
 
 def test_order_out_of_range():
     with pytest.raises(OrderTooLarge):
-        generate(0)
+        generate(0, RandomSource(0))
     with pytest.raises(OrderTooLarge):
-        generate(65)
+        generate(65, RandomSource(0))
 
 
 def test_order12_fixed_seed_valid_and_repeatable():
     first = generate(12, RandomSource(42))
     second = generate(12, RandomSource(42))
-    assert first.square == second.square
-    assert first.repairs == second.repairs
+    assert first == second and hash(first) == hash(second)
     assert is_exponential_latin(first.square.exponential)
     assert all(1 <= v <= 12 for row in first.square.cells for v in row)
 
@@ -52,12 +51,12 @@ def test_soundness_sweep_small_orders():
             assert is_latin(report.square.cells)
 
 
-def test_report_records_seed_and_timing():
-    src = RandomSource(1717)
-    report = generate(5, src)
-    assert report.seed == 1717
-    assert report.elapsed >= 0.0
+def test_report_holds_only_the_square_and_repairs():
+    report = generate(5, RandomSource(1717))
+    assert GenerationReport._fields == ("square", "repairs")
     assert report.repairs >= 0
+    with pytest.raises(TypeError):
+        generate(5)  # the source is required
 
 
 @pytest.mark.parametrize("draw, expected", [(0, [2, 4, 1]), (1, [4, 1, 2])])
@@ -108,9 +107,9 @@ def test_reachability_order3():
 
 def test_conversion_examples():
     assert LatinSquare.from_exponential([[1]]).cells == ((1,),)
-    assert LatinSquare.from_rows([[1]]).exponential == ((1,),)
+    assert LatinSquare([[1]]).exponential == ((1,),)
     assert LatinSquare.from_exponential([[1, 2], [2, 1]]).cells == ((1, 2), (2, 1))
-    assert LatinSquare.from_rows([[3, 1, 2], [1, 2, 3], [2, 3, 1]]).exponential == (
+    assert LatinSquare([[3, 1, 2], [1, 2, 3], [2, 3, 1]]).exponential == (
         (4, 1, 2),
         (1, 2, 4),
         (2, 4, 1),
@@ -132,13 +131,13 @@ def test_roundtrip_exhaustive_order3():
 def test_roundtrip_on_generated_squares(order, seed):
     square = generate(order, RandomSource(seed)).square
     assert LatinSquare.from_exponential(square.exponential) == square
-    assert LatinSquare.from_rows(square.cells) == square
-    assert hash(LatinSquare.from_rows(square.cells)) == hash(square)
+    assert LatinSquare(square.cells) == square
+    assert hash(LatinSquare(square.cells)) == hash(square)
 
 
 def test_square_types_validate_on_construction():
     with pytest.raises(ValueError):
-        LatinSquare.from_rows([[1, 2], [1, 2]])
+        LatinSquare([[1, 2], [1, 2]])
     with pytest.raises(ValueError):
         LatinSquare.from_exponential([[1, 3], [3, 1]])
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from latinsq.mask_set import (
     universe,
 )
 from latinsq.oracle_enum import count_all
+from latinsq.rng_choice import RandomSource
 
 # ---------------------------------------------------------------- oracles
 
@@ -308,7 +309,12 @@ def test_mask_rejects_bad_order():
 
 
 @pytest.mark.parametrize("order", [3.5, 2.5, 3.0, True, False, "3", None])
-@pytest.mark.parametrize("call", [check_order, generate, count_all, universe])
+@pytest.mark.parametrize("call", [
+    check_order,
+    lambda order: generate(order, RandomSource(0)),
+    count_all,
+    universe,
+], ids=["check_order", "generate", "count_all", "universe"])
 def test_non_integer_orders_rejected(call, order):
     with pytest.raises(OrderTooLarge):
         call(order)

@@ -279,20 +279,30 @@ def test_row_duplicate_beats_an_earlier_column_duplicate():
     assert_same_as_reference(powers)
 
 
+def test_failing_exponential_square_is_shape_checked_once(monkeypatch):
+    import latinsq.validator as validator
+
+    calls = []
+    shape_check = validator._square_order
+    monkeypatch.setattr(validator, "_square_order", lambda m: calls.append(1) or shape_check(m))
+    powers = [list(row) for row in generate(64, RandomSource(7)).square.exponential]
+    powers[40][3], powers[40][9] = powers[40][9], powers[40][3]  # breaks columns 4 and 10
+    assert is_exponential_latin(powers).message.startswith("column 4 duplicates")
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- square type
 
 
-def test_square_equals_and_hashes_like_from_rows():
+def test_square_equals_and_hashes_by_its_cells():
     square = LatinSquare([[1, 2], [2, 1]])
-    assert square == LatinSquare.from_rows([[1, 2], [2, 1]])
-    assert hash(square) == hash(LatinSquare.from_rows([(1, 2), (2, 1)]))
+    assert square == LatinSquare([[1, 2], [2, 1]])
+    assert hash(square) == hash(LatinSquare([(1, 2), (2, 1)]))
     assert square.cells == ((1, 2), (2, 1))
     assert all(type(row) is tuple for row in square.cells) and type(square.cells) is tuple
 
 
-@pytest.mark.parametrize(
-    "build", [LatinSquare, LatinSquare.from_rows, LatinSquare.from_exponential]
-)
+@pytest.mark.parametrize("build", [LatinSquare, LatinSquare.from_exponential])
 def test_square_keeps_its_own_copy_of_the_rows(build):
     rows = [[1, 2], [2, 1]]
     square = build(rows)
