@@ -3,11 +3,13 @@
 Cells are filled left to right, top to bottom.  For each cell the set of
 symbols still legal there is the complement, within the n-bit universe,
 of everything already placed in the cell's column and in the row so far;
-one legal symbol is drawn uniformly from the caller's source.  A cell
-with no legal symbol is repaired in place: symbols already in the row
-shift along an augmenting path until one of them frees a symbol for the
-cell.  A completed Latin rectangle always extends to a full square, so
-such a path always exists and no row is ever thrown away.
+one legal symbol is drawn uniformly from the caller's source.  The draw
+is ``select_bit``'s rank rule inlined in the cell loop, and consumes the
+stream exactly as ``select_bit`` would.  A cell with no legal symbol is
+repaired in place: symbols already in the row shift along an augmenting
+path until one of them frees a symbol for the cell.  A completed Latin
+rectangle always extends to a full square, so such a path always exists
+and no row is ever thrown away.
 """
 
 from typing import NamedTuple
@@ -29,8 +31,14 @@ def generate(order: int, source: RandomSource) -> GenerationReport:
     ``source``; two sources in the same state give the same square.  A
     cell with no legal symbol is repaired in place (``_repair_row``), so
     every order up to 64 completes.
+
+    A cell's draw is ``select_bit(avail, source)`` inlined: one
+    ``next_below(popcount)`` call, bound 1 included, then that many lowest
+    set bits cleared, so the draws and the square are those ``select_bit``
+    would give.
     """
     n = check_order(order)
+    below = source.next_below
     full = (1 << n) - 1
     col_used = [0] * n  # per column, OR of the cells in completed rows
     rows: list[tuple[int, ...]] = []
@@ -39,15 +47,17 @@ def generate(order: int, source: RandomSource) -> GenerationReport:
         row = [0] * n  # one singleton mask per cell
         row_used = 0
         for col in range(n):
-            avail = full ^ (row_used | col_used[col])
-            if avail:
-                row[col] = pick = select_bit(avail, source)
+            if avail := full ^ (row_used | col_used[col]):
+                rank = below(avail.bit_count())  # select_bit(avail, source), inlined
+                while rank:
+                    avail &= avail - 1
+                    rank -= 1
+                row[col] = pick = avail & -avail
             else:
                 pick = _repair_row(row, col, col_used, full, source)
                 repairs += 1
             row_used |= pick
-        for j, bits in enumerate(row):
-            col_used[j] |= bits
+        col_used = [used | bits for used, bits in zip(col_used, row)]
         rows.append(tuple(map(int.bit_length, row)))
     return GenerationReport(LatinSquare._trusted(tuple(rows)), repairs)
 
@@ -75,28 +85,37 @@ def _repair_row(row: list[int], c: int, col_used: list[int], full: int, src: Ran
     the row does not hold, and the search reaches the column before it
     (Kuhn, 1955).  At most c + 1 columns are scanned, one n-bit word each,
     so a repair costs O(c*n) word operations.
+
+    The row's symbol set is recomputed from ``row`` on each call, and each
+    candidate column carries its count k, so most is known when the search
+    ends.
     """
-    owner = {bit: x for x, bit in enumerate(row[:c])}  # symbol bit -> its column
-    row_used = sum(owner)  # distinct bits, so the sum is their union
-    reached = 0  # symbols whose holders are already queued
-    parent = {c: -1}
-    found = []  # (column, its legal symbols the row does not hold)
+    row_used = sum(row)  # cells c.. are 0 and the rest distinct bits: the sum is the union
+    missing = full ^ row_used  # symbols the row does not hold
+    owner = dict(zip(row, range(c)))  # symbol bit -> its column
+    unqueued = row_used  # symbols whose holders are not yet queued
+    parent = [-1] * (c + 1)  # column -> the column it was reached from
+    found = []  # (column, its legal symbols the row does not hold, their count)
+    most = 0  # the largest count in found
     queue = [c]
     for x in queue:
         legal = full ^ col_used[x]
-        if free := legal & ~row_used:
-            found.append((x, free))
-        held = legal & row_used & ~reached
-        reached |= held
-        while held:
-            bit = held & -held
-            held ^= bit
-            parent[owner[bit]] = x
-            queue.append(owner[bit])
-    most = max(free.bit_count() for _, free in found)
+        if free := legal & missing:
+            k = free.bit_count()
+            found.append((x, free, k))
+            if k > most:
+                most = k
+        if held := legal & unqueued:
+            unqueued ^= held
+            while held:
+                bit = held & -held
+                held ^= bit
+                y = owner[bit]
+                parent[y] = x
+                queue.append(y)
     while True:
-        x, free = found[src.next_below(len(found))]
-        if src.next_below(most) < free.bit_count():
+        x, free, k = found[src.next_below(len(found))]
+        if src.next_below(most) < k:
             break
     entering = bit = select_bit(free, src)
     while x != -1:

@@ -31,10 +31,10 @@ class RandomSource:
         Draws just enough bits to cover the range and rejects overshoot,
         so every value is exactly equally likely.
         """
-        if bound < 1:
+        if bound < 2:  # one test on the hot path; bound 1 draws nothing
+            if bound == 1:
+                return 0
             raise InvalidBound(f"bound must be >= 1, got {bound}")
-        if bound == 1:
-            return 0
         width = (bound - 1).bit_length()
         while True:
             value = self._rng.getrandbits(width)
@@ -55,6 +55,8 @@ def select_bit(bits: int, src: RandomSource) -> int:
     Clears the r lowest set bits, r uniform over 0..popcount(bits)-1, and
     returns the lowest bit left as a power of two; each member therefore
     has probability 1/popcount(bits).  One ``next_below`` per call.
+    ``latin_gen.generate`` inlines this rule in its cell loop; the two
+    must draw alike.
     """
     for _ in range(src.next_below(bits.bit_count())):
         bits &= bits - 1

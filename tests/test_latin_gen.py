@@ -1,5 +1,6 @@
 """Generator soundness, determinism, repairs, and the exponential view."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -92,6 +93,34 @@ def test_repair_draws_every_candidate_equally_often():
         odds[tuple(row)] += weight
     assert len(odds) == 5
     assert all(p == pytest.approx(1 / 6) for p in odds.values())  # accepted 5/6 of the time
+
+
+class Recording(RandomSource):
+    """Seeded source that records each bound asked of ``next_below``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def next_below(self, bound):
+        self.bounds.append(bound)
+        return super().next_below(bound)
+
+
+# sha256 over orders 25-64, seeds 0-2: each square's cells, its repairs, every
+# bound drawn and the next 32-bit draw after it; pinned at 0.5.0
+LONG_REPAIR_STREAM = "53420faecb6cfa5a97bfe7a08b1b42f0e2d89e122ed87d84b2406f69d0973510"
+
+
+def test_draw_stream_unchanged_where_repairs_are_long():
+    digest = hashlib.sha256()
+    for order in range(25, 65):
+        for seed in range(3):
+            src = Recording(seed)
+            report = generate(order, src)
+            after = src.next_below(1 << 32)
+            digest.update(repr((report.square.cells, report.repairs, src.bounds, after)).encode())
+    assert digest.hexdigest() == LONG_REPAIR_STREAM
 
 
 def test_reachability_order3():

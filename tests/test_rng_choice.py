@@ -1,5 +1,7 @@
 """Seedable source determinism, bounded-draw uniformity, set-bit choice."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -71,6 +73,21 @@ def test_spawn_derives_seed_plus_index():
     assert base.spawn(7).seed == 107
     wrap = RandomSource((1 << 64) - 1)
     assert wrap.spawn(1).seed == 0
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda src: pickle.loads(pickle.dumps(src))], ids=["deepcopy", "pickle"]
+)
+def test_copy_continues_the_stream_without_advancing_the_original(duplicate):
+    src, twin = RandomSource(77), RandomSource(77)
+    for s in (src, twin):
+        s.next_below(1000)  # copy mid-stream, not at the seed
+    dup = duplicate(src)
+    ahead = [dup.next_below(1000) for _ in range(200)]
+    assert dup.seed == src.seed
+    assert ahead == [twin.next_below(1000) for _ in range(200)]
+    # a copy sharing the original's generator would have moved it past these
+    assert [src.next_below(1000) for _ in range(200)] == ahead
 
 
 def probe_walk(bits, src):
