@@ -8,16 +8,21 @@ import re
 import subprocess
 import sys
 import time
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latinsq
 from latinsq import cli, validator
 from latinsq.cli import _naive_generate, main
+from latinsq.errors import MalformedMatrix
 from latinsq.latin_gen import generate
+from latinsq.mask_set import MAX_ORDER
 from latinsq.rng_choice import RandomSource
 
-from conftest import ORDER12_STD_ROW1
+from conftest import ORDER12_STD_ROW1, render_rows
 
 
 def run(capsys, *argv):
@@ -202,6 +207,86 @@ def test_generate_never_validates(capsys, monkeypatch, fmt):
         monkeypatch.setattr(module, "is_exponential_latin", refuse)
     code, out, _ = run(capsys, "generate", "--order", "9", "--seed", "3", "--format", fmt)
     assert code == 0 and out
+
+
+# ---------------------------------------------------------------- text codec
+
+
+def test_text_tables_spell_each_symbol_in_decimal():
+    assert len(cli._GRID_TEXT) == len(cli._EXP_TEXT) == MAX_ORDER + 1
+    for v in range(1, MAX_ORDER + 1):
+        assert cli._GRID_TEXT[v] == str(v)
+        assert cli._EXP_TEXT[v] == str(1 << (v - 1))
+    assert set(cli._TEXT_VALUE) == set(cli._GRID_TEXT[1:] + cli._EXP_TEXT[1:])
+    for text, value in cli._TEXT_VALUE.items():
+        assert type(value) is int and value == int(text)
+
+
+def _int_parse_text(text):
+    """The text parser with ``int`` on every token: the reference."""
+    blocks, current = [], []
+    for line in text.splitlines():
+        tokens = line.split(None, MAX_ORDER)
+        if tokens:
+            if len(tokens) > MAX_ORDER or len(current) == MAX_ORDER:
+                raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
+            try:
+                current.append(list(map(int, tokens)))
+            except ValueError:
+                raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
+        elif current:
+            blocks.append(current)
+            current = []
+    if current:
+        blocks.append(current)
+    if not blocks:
+        raise MalformedMatrix("no matrix found in input")
+    return blocks
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except MalformedMatrix as exc:
+        return "refused", str(exc)
+
+
+# tokens int reads but the tables hold in another spelling, or not at all,
+# and tokens int refuses
+MISSES = ["+4", "04", "1_0", "\u0663", "-8", str(1 << 64), "x", "0", "65", "3.0", "1e3", "\uff18"]
+table_tokens = st.sampled_from(sorted(cli._TEXT_VALUE))
+row_tokens = st.lists(
+    st.one_of(table_tokens, table_tokens, st.sampled_from(MISSES)), min_size=1, max_size=6
+)
+text_lines = st.one_of(
+    row_tokens.map(" ".join),
+    row_tokens.map("\t".join),
+    st.sampled_from(["", "  ", "\t"]),  # block separators
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(text_lines, max_size=12).map("\n".join))
+def test_parse_text_agrees_with_int_on_every_token(text):
+    got = _outcome(cli._parse_text, text)
+    assert got == _outcome(_int_parse_text, text)
+    if got[0] == "ok":
+        assert all(type(v) is int for block in got[1] for row in block for v in row)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_text_forms_round_trip_at_every_order(capsys, monkeypatch, order):
+    report = generate(order, RandomSource(order))
+    argv = ["generate", "--order", str(order), "--seed", str(order), "--format", "exp"]
+    code, exp, _ = run(capsys, *argv)
+    assert code == 0
+    assert exp == render_rows(report.square.exponential)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(exp))
+    code, grid, _ = run(capsys, "convert", "-", "--to", "grid")
+    assert code == 0
+    assert grid == render_rows(report.square.cells)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(grid))
+    assert run(capsys, "convert", "-", "--to", "exp") == (0, exp, "")
 
 
 # ---------------------------------------------------------------- validate
@@ -401,6 +486,38 @@ def test_bench_order1(capsys):
     code, out, _ = run(capsys, "bench", "--order", "1", "--iterations", "1", "--seed", "0")
     assert code == 0
     assert "max 0 per square" in out
+
+
+def test_bench_warms_up_then_reports_the_best_interleaved_pass(capsys, monkeypatch):
+    calls = []
+    real_generate, real_naive = cli.generate, cli._naive_generate
+
+    def bitmask(order, src):
+        calls.append(("bitmask", src.seed))
+        return real_generate(order, src)
+
+    def naive(order, src):
+        calls.append(("naive", src.seed))
+        return real_naive(order, src)
+
+    # each pass reads the clock twice per implementation: bitmask 3, 1, 2 s
+    # and bool array 9, 12, 8 s over passes 1-3
+    ticks = iter([0, 3, 3, 12, 12, 13, 13, 25, 25, 27, 27, 35])
+    monkeypatch.setattr(cli, "generate", bitmask)
+    monkeypatch.setattr(cli, "_naive_generate", naive)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    code, out, _ = run(capsys, "bench", "--order", "5", "--iterations", "2", "--seed", "40")
+    assert code == 0
+    passes = [("bitmask", 40), ("bitmask", 41), ("naive", 40), ("naive", 41)] * cli.BENCH_PASSES
+    assert calls == [("bitmask", 40), ("naive", 40)] + passes
+    assert out.splitlines()[:4] == [
+        "order 5, 2 squares per implementation, seed 40",
+        "bitmask     total 1.0000 s   500.000 ms/square",
+        "bool array  total 8.0000 s   4000.000 ms/square",
+        "speedup     8.00x (bitmask over bool array)",
+    ]
+    repairs = out.splitlines()[4]
+    assert re.fullmatch(r"repairs     total \d+, mean \d+\.\d\d, max \d+ per square", repairs)
 
 
 @pytest.mark.parametrize("order", [2, 5, 9])
