@@ -4,16 +4,17 @@ Ground truth for counting and reachability tests, kept deliberately
 independent of the random generator: one plain depth-first search that
 completes a partly filled grid cell by cell in row-major order, trying
 symbols in ascending order, with packed-set pruning but none of the
-generator's machinery.
+generator's machinery. Counting runs that search once per cycle type of
+the second row.
 """
 
-from math import factorial
+from math import factorial, prod
 
 from .mask_set import check_order
 from .validator import LatinSquare
 
 ENUMERATION_CAP = 4  # full materialization
-COUNT_CAP = 6  # counting reduced squares without materialization
+COUNT_CAP = 7  # one search per second-row cycle type, without materialization
 
 
 def enumerate_all(n: int) -> list[LatinSquare]:
@@ -26,18 +27,63 @@ def enumerate_all(n: int) -> list[LatinSquare]:
 def count_all(n: int) -> int:
     """Exact number of Latin squares of order n, for n in 1..COUNT_CAP.
 
-    Counts the reduced squares R_n, whose first row and first column are
-    1..n, and returns L_n = n! (n-1)! R_n (McKay and Wanless, "On the
-    number of Latin squares", 2005): permuting the columns of any square
-    to sort its first row, then rows 2..n to sort its first column, reaches
-    each reduced square from exactly n! (n-1)! squares.
+    Returns L_n = n! (n-2)! sum over λ of |C_λ| E'(λ) (McKay and Wanless,
+    "On the number of Latin squares", 2005). Permuting its columns takes
+    each square to one whose row 1 is the identity, and n! squares go to
+    each of those; its row 2 is then a derangement σ. Sorting rows 3..n by
+    column 1 takes (n-2)! squares with rows 1 and 2 fixed to each of the
+    E'(σ) completions whose column 1 is ascending below row 2. λ runs over
+    the cycle types of derangements, the partitions of n with no part 1,
+    and |C_λ| = n!/z_λ derangements have type λ. E' depends only on λ: for
+    any permutation τ, relabelling each symbol s as τ(s) and moving column
+    c to column τ(c) keeps row 1 the identity and turns row 2 into τστ⁻¹,
+    so the count for one σ of each type stands for its whole class.
     """
     check_order(n, COUNT_CAP)
-    grid = [[0] * n for _ in range(n)]
-    for k in range(n):
-        grid[0][k] = grid[k][0] = k + 1
-    reduced = sum(1 for _ in _completions(grid))
-    return reduced * factorial(n) * factorial(n - 1)
+    if n == 1:  # no derangement of one symbol
+        return 1
+    total = sum(
+        _class_size(parts) * _extensions(_cycle_row(parts)) for parts in _derangement_types(n)
+    )
+    return factorial(n) * factorial(n - 2) * total
+
+
+def _derangement_types(n: int, smallest: int = 2):
+    """Yield each partition of n into parts of at least ``smallest``, as a
+    non-decreasing tuple: with the default 2, the cycle types of the
+    derangements of n symbols."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(smallest, n + 1):
+        for rest in _derangement_types(n - part, part):
+            yield (part,) + rest
+
+
+def _class_size(parts: tuple[int, ...]) -> int:
+    """Number of permutations whose cycle lengths are ``parts``: n!/z_λ,
+    with z_λ the product over each length k of k^m m! (m cycles of k)."""
+    z = prod(parts) * prod(factorial(parts.count(k)) for k in set(parts))
+    return factorial(sum(parts)) // z
+
+
+def _cycle_row(parts: tuple[int, ...]) -> list[int]:
+    """One permutation of 1..n, as a row, with cycle lengths ``parts``:
+    each cycle shifts a run of consecutive symbols by one."""
+    row = []
+    for part in parts:
+        start = len(row)
+        row += [start + (k + 1) % part + 1 for k in range(part)]
+    return row
+
+
+def _extensions(second: list[int]) -> int:
+    """E'(σ): the completions of the grid with row 1 the identity, row 2
+    ``second`` and column 1 of rows 3..n the other symbols ascending."""
+    n = len(second)
+    below = [s for s in range(2, n + 1) if s != second[0]]
+    grid = [list(range(1, n + 1)), list(second)] + [[s] + [0] * (n - 1) for s in below]
+    return sum(1 for _ in _completions(grid))
 
 
 def _completions(grid: list[list[int]]):

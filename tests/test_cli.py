@@ -455,11 +455,11 @@ def test_count_known_orders(capsys, order, expected):
 
 
 def test_count_rejects_large_orders(capsys):
-    assert run(capsys, "count", "--order", "7")[0] == 2
-    assert run(capsys, "count", "--order", "7", "--allow-slow")[0] == 2  # no such flag
-    for order in ("0", "7"):
+    assert run(capsys, "count", "--order", "8")[0] == 2
+    assert run(capsys, "count", "--order", "8", "--allow-slow")[0] == 2  # no such flag
+    for order in ("0", "8"):
         assert run(capsys, "count", "--order", order) == (
-            2, "", f"error: order must be in 1..6, got {order}\n"
+            2, "", f"error: order must be in 1..7, got {order}\n"
         )
 
 

@@ -1,12 +1,56 @@
-"""Brute-force enumeration: counts, ordering, independence checks."""
+"""Brute-force enumeration: counts, ordering, independence checks, and the
+cycle-type reduction behind ``count_all``."""
+
+from collections import Counter
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from latinsq.errors import OrderTooLarge
-from latinsq.oracle_enum import count_all, enumerate_all
+from latinsq.oracle_enum import (
+    _class_size,
+    _completions,
+    _cycle_row,
+    _derangement_types,
+    _extensions,
+    count_all,
+    enumerate_all,
+)
 from latinsq.validator import is_latin
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
+DERANGEMENTS = {1: 0, 2: 1, 3: 2, 4: 9, 5: 44, 6: 265, 7: 1854}
+# E' of each derangement type at orders 4-6
+EXTENSIONS = {
+    4: {(4,): 1, (2, 2): 2},
+    5: {(5,): 6, (2, 3): 4},
+    6: {(6,): 168, (2, 4): 176, (3, 3): 192, (2, 2, 2): 224},
+}
+
+
+def reduced_count(n):
+    """L_n through the reduced squares, whose first row and first column are
+    1..n: each is reached from exactly n! (n-1)! squares by sorting the
+    columns by the first row, then rows 2..n by the first column."""
+    grid = [[0] * n for _ in range(n)]
+    for k in range(n):
+        grid[0][k] = grid[k][0] = k + 1
+    return sum(1 for _ in _completions(grid)) * factorial(n) * factorial(n - 1)
+
+
+def cycle_type(row):
+    """The sorted cycle lengths of the permutation j -> row[j-1] of 1..n."""
+    seen, lengths = set(), []
+    for start in range(1, len(row) + 1):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = row[j - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 @pytest.mark.parametrize("n, expected", sorted(KNOWN_COUNTS.items()))
@@ -39,9 +83,41 @@ def test_enumeration_cap():
         enumerate_all(5)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_matches_reduced_squares(n):
+    assert count_all(n) == reduced_count(n)
+
+
+def test_count_order7():
+    # McKay and Wanless, "On the number of Latin squares", 2005
+    assert count_all(7) == 61_479_419_904_000
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extensions_depend_only_on_cycle_type(n):
+    """E'(σ) equals E' of its type's canonical row for every derangement σ,
+    and each type holds _class_size derangements."""
+    canonical = {parts: _extensions(_cycle_row(parts)) for parts in _derangement_types(n)}
+    assert all(cycle_type(_cycle_row(parts)) == parts for parts in canonical)
+    by_type = Counter()
+    for row in permutations(range(1, n + 1)):
+        if any(v == j for j, v in enumerate(row, 1)):
+            continue
+        parts = cycle_type(row)
+        by_type[parts] += 1
+        assert _extensions(list(row)) == canonical[parts], row
+    assert by_type == {parts: _class_size(parts) for parts in canonical}
+    assert canonical == EXTENSIONS[n]
+
+
+@pytest.mark.parametrize("n, derangements", sorted(DERANGEMENTS.items()))
+def test_class_sizes_sum_to_derangements(n, derangements):
+    assert sum(_class_size(parts) for parts in _derangement_types(n)) == derangements
+
+
 def test_count_cap():
-    with pytest.raises(OrderTooLarge, match="1..6, got 7"):
-        count_all(7)
+    with pytest.raises(OrderTooLarge, match="1..7, got 8"):
+        count_all(8)
 
 
 def test_order_validation():
