@@ -35,7 +35,7 @@ from .oracle_enum import count_all, enumerate_all
 from .rng_choice import RandomSource, choice
 from .validator import LatinSquare, ValidationResult, is_exponential_latin, is_latin
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ChoiceImpossible",

@@ -8,10 +8,19 @@ Formats
 Text output is newline-terminated ASCII; multiple squares are separated
 by one blank line.  Both text forms hold at most 64 distinct values, so
 they go through fixed decimal tables built at import: a square is
-rendered from its symbols by table lookup, and a row whose tokens are all
-table entries is parsed by lookup.  A row holding any other token (a sign,
-a leading zero, an underscore, a non-ASCII digit, a huge value) is parsed
-by ``int``, so values and messages are those of ``int`` throughout.
+rendered from its symbols by table lookup, and each form is decoded
+straight to symbols through the exact inverse of its table.  A grid row
+holding any other token (a sign, a leading zero, an underscore, a
+non-ASCII digit, a huge value) is parsed by ``int``; so is every row of
+an exponential block holding one, which is then checked as powers of two.
+Values and messages are those of ``int`` throughout.
+
+``validate`` and ``convert`` read text input square by square: each block
+is parsed and checked before the next is read, and ``convert`` writes
+only once every square has passed.  So the first invalid square is
+reported even when a later block is malformed.  Verdicts are numbered
+``square k:`` when the input holds more than one square.  JSON input is
+parsed whole.
 
 Exit codes
     0  success / square is valid
@@ -29,7 +38,7 @@ from .latin_gen import _repair_row, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import COUNT_CAP, count_all
 from .rng_choice import RandomSource
-from .validator import LatinSquare, is_exponential_latin, is_latin
+from .validator import is_exponential_latin, is_latin
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -49,36 +58,52 @@ def _read_source(path: str) -> str:
 # symbol v in 1..MAX_ORDER -> its decimal text in each form; index 0 is unused
 _GRID_TEXT = ("",) + tuple(str(v) for v in range(1, MAX_ORDER + 1))
 _EXP_TEXT = ("",) + tuple(str(1 << (v - 1)) for v in range(1, MAX_ORDER + 1))
-# the inverse: every table entry -> the int it spells (the forms agree where they overlap)
-_TEXT_VALUE = {text: int(text) for text in _GRID_TEXT[1:] + _EXP_TEXT[1:]}
+# the exact inverses: decimal text -> the symbol it spells in that form
+_GRID_SYMBOL = {text: v for v, text in enumerate(_GRID_TEXT) if v}
+_EXP_SYMBOL = {text: v for v, text in enumerate(_EXP_TEXT) if v}
 
 
-def _parse_text(text: str) -> list[list[list[int]]]:
-    """Blank-line separated blocks of whitespace-separated integer rows."""
-    lookup = _TEXT_VALUE.__getitem__
-    blocks: list[list[list[int]]] = []
-    current: list[list[int]] = []
+def _parse_text(text: str, exponential: bool):
+    """Lazily yield the blank-line separated blocks of whitespace-separated
+    integer rows in ``text`` as (rows, powers, numbered).
+
+    Each token is decoded to its symbol by the table of its form.  A grid
+    row holding any other token is read by ``int``.  An exponential block
+    holding any other token is read by ``int`` throughout, and ``powers``
+    says its rows hold those values rather than symbols.  A block is
+    yielded once the first line after it is seen, before that line is
+    converted, so ``numbered`` says whether the input holds more than one
+    block.
+    """
+    lookup = (_EXP_SYMBOL if exponential else _GRID_SYMBOL).__getitem__
+    rows: list[list[int]] = []
+    powers = gap = numbered = False
     for line in text.splitlines():
         tokens = line.split(None, MAX_ORDER)
-        if tokens:
-            # refuse an oversized block before converting any more of it
-            if len(tokens) > MAX_ORDER or len(current) == MAX_ORDER:
-                raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
+        if not tokens:
+            gap = bool(rows)
+            continue
+        if gap:
+            yield rows, powers, True
+            rows, powers, gap, numbered = [], False, False, True
+        # refuse an oversized block before converting any more of it
+        if len(tokens) > MAX_ORDER or len(rows) == MAX_ORDER:
+            raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
+        if not powers:
             try:
-                current.append(list(map(lookup, tokens)))
+                rows.append(list(map(lookup, tokens)))
+                continue
             except KeyError:  # some token is not a table entry: int decides
-                try:
-                    current.append(list(map(int, tokens)))
-                except ValueError:
-                    raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
-        elif current:
-            blocks.append(current)
-            current = []
-    if current:
-        blocks.append(current)
-    if not blocks:
+                if exponential:
+                    powers = True
+                    rows = [[1 << (v - 1) for v in row] for row in rows]
+        try:
+            rows.append(list(map(int, tokens)))
+        except ValueError:
+            raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
+    if not rows:
         raise MalformedMatrix("no matrix found in input")
-    return blocks
+    yield rows, powers, numbered
 
 
 def _parse_json(text: str) -> list[list[list[int]]]:
@@ -107,13 +132,16 @@ def _parse_json(text: str) -> list[list[list[int]]]:
     return matrices
 
 
-def _load_matrices(path: str, exp_text: bool) -> tuple[list[list[list[int]]], bool]:
-    """Parse an input file; returns (matrices, exponential).  Text input is
-    exponential when ``exp_text`` says so; JSON always carries symbols."""
+def _load_squares(path: str, exp_text: bool):
+    """The squares of an input file, as an iterator of (rows, powers,
+    numbered) in the manner of ``_parse_text``, and whether they came from
+    exponential text.  Text is exponential when ``exp_text`` says so; JSON
+    always carries symbols and is parsed whole."""
     text = _read_source(path)
     if text.lstrip()[:1] in ("{", "["):
-        return _parse_json(text), False
-    return _parse_text(text), exp_text
+        matrices = _parse_json(text)
+        return ((cells, False, len(matrices) > 1) for cells in matrices), False
+    return _parse_text(text, exp_text), exp_text
 
 
 def _render_text(cells, names) -> str:
@@ -152,17 +180,31 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _invalid(idx: int, total: int, message: str) -> str:
-    """Verdict line for square ``idx`` of ``total``; numbered in batches."""
-    return f"square {idx}: {message}" if total > 1 else message
+def _invalid(idx: int, numbered: bool, message: str) -> str:
+    """Verdict line for square ``idx``; numbered when the input holds more
+    than one square."""
+    return f"square {idx}: {message}" if numbered else message
+
+
+def _verdict(rows, exponential: bool, powers: bool):
+    """The verdict on one square: ``is_exponential_latin`` on rows of
+    powers, else ``is_latin`` on rows of symbols.  A failing square read
+    from exponential text is named in that form, by ``is_exponential_latin``
+    on its powers, which reports a non-power cell before any duplicate."""
+    if powers:
+        return is_exponential_latin(rows)
+    verdict = is_latin(rows)
+    if verdict or not exponential:
+        return verdict
+    return is_exponential_latin([[1 << (v - 1) for v in row] for row in rows])
 
 
 def _cmd_validate(args) -> int:
-    matrices, exponential = _load_matrices(args.file, args.exp)
-    for idx, cells in enumerate(matrices, start=1):
-        verdict = is_exponential_latin(cells) if exponential else is_latin(cells)
+    squares, exponential = _load_squares(args.file, args.exp)
+    for idx, (rows, powers, numbered) in enumerate(squares, start=1):
+        verdict = _verdict(rows, exponential, powers)
         if not verdict:
-            print(_invalid(idx, len(matrices), verdict.message))
+            print(_invalid(idx, numbered, verdict.message))
             return EXIT_INVALID
     print("VALID")
     return EXIT_OK
@@ -170,17 +212,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     # text input is taken to be in the form opposite the target
-    matrices, exponential = _load_matrices(args.file, args.to == "grid")
-    build = LatinSquare.from_exponential if exponential else LatinSquare
+    squares, exponential = _load_squares(args.file, args.to == "grid")
     names = _EXP_TEXT if args.to == "exp" else _GRID_TEXT
     blocks = []
-    for idx, cells in enumerate(matrices, start=1):
-        try:
-            square = build(cells)
-        except ValueError as exc:  # not Latin; the message names the first violation
-            print(_invalid(idx, len(matrices), str(exc)), file=sys.stderr)
+    for idx, (rows, powers, numbered) in enumerate(squares, start=1):
+        verdict = _verdict(rows, exponential, powers)
+        if not verdict:  # the message names the first violation
+            print(_invalid(idx, numbered, verdict.message), file=sys.stderr)
             return EXIT_INVALID
-        blocks.append(_render_text(square.cells, names))
+        if powers:  # each checked cell 2**(k-1) becomes the symbol k
+            rows = [map(int.bit_length, row) for row in rows]
+        blocks.append(_render_text(rows, names))
     sys.stdout.write("\n".join(blocks))
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, round trips, bench."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import latinsq
 from latinsq import cli, validator
 from latinsq.cli import _naive_generate, main
-from latinsq.errors import MalformedMatrix
+from latinsq.errors import LatinSqError, MalformedMatrix
 from latinsq.latin_gen import generate
 from latinsq.mask_set import MAX_ORDER
 from latinsq.rng_choice import RandomSource
@@ -217,13 +218,18 @@ def test_text_tables_spell_each_symbol_in_decimal():
     for v in range(1, MAX_ORDER + 1):
         assert cli._GRID_TEXT[v] == str(v)
         assert cli._EXP_TEXT[v] == str(1 << (v - 1))
-    assert set(cli._TEXT_VALUE) == set(cli._GRID_TEXT[1:] + cli._EXP_TEXT[1:])
-    for text, value in cli._TEXT_VALUE.items():
-        assert type(value) is int and value == int(text)
+    # each symbol table is the exact inverse of its render table
+    for names, symbols in ((cli._GRID_TEXT, cli._GRID_SYMBOL), (cli._EXP_TEXT, cli._EXP_SYMBOL)):
+        assert len(symbols) == MAX_ORDER
+        for v in range(1, MAX_ORDER + 1):
+            assert symbols[names[v]] == v
+        for text, v in symbols.items():
+            assert type(v) is int and names[v] == text
 
 
 def _int_parse_text(text):
-    """The text parser with ``int`` on every token: the reference."""
+    """The whole-file text parser with ``int`` on every token: the
+    reference.  Returns blocks of (token, value) rows."""
     blocks, current = [], []
     for line in text.splitlines():
         tokens = line.split(None, MAX_ORDER)
@@ -231,7 +237,7 @@ def _int_parse_text(text):
             if len(tokens) > MAX_ORDER or len(current) == MAX_ORDER:
                 raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
             try:
-                current.append(list(map(int, tokens)))
+                current.append([(tok, int(tok)) for tok in tokens])
             except ValueError:
                 raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
         elif current:
@@ -251,10 +257,26 @@ def _outcome(parse, text):
         return "refused", str(exc)
 
 
+# the canonical decimal spellings of 2**0 .. 2**63, built without the tables
+POWER_TEXT = frozenset(str(1 << k) for k in range(MAX_ORDER))
+
+
+def _expected_blocks(blocks, exponential):
+    """What the lazy parser yields for the reference's blocks: int values,
+    except that an exponential block whose tokens are all canonical powers
+    holds the symbols int(text).bit_length()."""
+    expected = []
+    for block in blocks:
+        decoded = exponential and all(tok in POWER_TEXT for row in block for tok, _ in row)
+        rows = [[v.bit_length() if decoded else v for _, v in row] for row in block]
+        expected.append((rows, exponential and not decoded, len(blocks) > 1))
+    return expected
+
+
 # tokens int reads but the tables hold in another spelling, or not at all,
 # and tokens int refuses
 MISSES = ["+4", "04", "1_0", "\u0663", "-8", str(1 << 64), "x", "0", "65", "3.0", "1e3", "\uff18"]
-table_tokens = st.sampled_from(sorted(cli._TEXT_VALUE))
+table_tokens = st.sampled_from(sorted(set(cli._GRID_SYMBOL) | set(cli._EXP_SYMBOL)))
 row_tokens = st.lists(
     st.one_of(table_tokens, table_tokens, st.sampled_from(MISSES)), min_size=1, max_size=6
 )
@@ -266,12 +288,15 @@ text_lines = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(text_lines, max_size=12).map("\n".join))
-def test_parse_text_agrees_with_int_on_every_token(text):
-    got = _outcome(cli._parse_text, text)
-    assert got == _outcome(_int_parse_text, text)
+@given(st.lists(text_lines, max_size=12).map("\n".join), st.booleans())
+def test_parse_text_agrees_with_int_on_every_token(text, exponential):
+    got = _outcome(lambda t: list(cli._parse_text(t, exponential)), text)
+    want = _outcome(_int_parse_text, text)
+    if want[0] == "ok":
+        want = "ok", _expected_blocks(want[1], exponential)
+    assert got == want
     if got[0] == "ok":
-        assert all(type(v) is int for block in got[1] for row in block for v in row)
+        assert all(type(v) is int for rows, _, _ in got[1] for row in rows for v in row)
 
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
@@ -287,6 +312,179 @@ def test_text_forms_round_trip_at_every_order(capsys, monkeypatch, order):
     assert grid == render_rows(report.square.cells)
     monkeypatch.setattr(sys, "stdin", io.StringIO(grid))
     assert run(capsys, "convert", "-", "--to", "exp") == (0, exp, "")
+
+
+# ---------------------------------------------------------------- read path
+
+READ_ARGVS = [
+    ["validate", "-"],
+    ["validate", "-", "--exp"],
+    ["convert", "-", "--to", "grid"],
+    ["convert", "-", "--to", "exp"],
+]
+
+
+def _call(argv, text):
+    """``main(argv)`` on ``text`` as stdin: (exit code, stdout, stderr)."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reference_read(argv, text):
+    """The whole-file read path: every block parsed by ``int`` first, then
+    each square checked in turn by ``is_latin`` or ``is_exponential_latin``,
+    or built by ``LatinSquare`` or ``LatinSquare.from_exponential``.
+    Returns (exit code, stdout, stderr)."""
+    validate = argv[0] == "validate"
+    exponential = "--exp" in argv if validate else argv[-1] == "grid"
+    try:
+        matrices = [[[v for _, v in row] for row in block] for block in _int_parse_text(text)]
+    except MalformedMatrix as exc:
+        return 2, "", f"error: {exc}\n"
+
+    def named(idx, message):
+        return (f"square {idx}: " if len(matrices) > 1 else "") + message + "\n"
+
+    spell = str if argv[-1] == "grid" else lambda v: str(1 << (v - 1))
+    rendered = []
+    try:
+        for idx, cells in enumerate(matrices, start=1):
+            if validate:
+                check = validator.is_exponential_latin if exponential else validator.is_latin
+                verdict = check(cells)
+                if not verdict:
+                    return 1, named(idx, verdict.message), ""
+                continue
+            build = validator.LatinSquare.from_exponential if exponential else validator.LatinSquare
+            try:
+                square = build(cells)
+            except ValueError as exc:
+                return 1, "", named(idx, str(exc))
+            rendered.append("".join(" ".join(map(spell, row)) + "\n" for row in square.cells))
+    except LatinSqError as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, "VALID\n" if validate else "\n".join(rendered), ""
+
+
+@st.composite
+def token_blocks(draw):
+    """The token rows of one block: a Latin square of order 1-6 spelled in
+    either text form, often with table tokens of both forms, misses,
+    non-integers, non-powers, powers >= 2**n, duplicates or ragged rows
+    planted in it.
+    No row is left empty, so the block stays one block."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    shift = draw(st.permutations(range(1, n + 1)))
+    spell = draw(st.sampled_from([str, lambda v: str(1 << (v - 1))]))
+    rows = [[spell(shift[(r + c) % n]) for c in range(n)] for r in draw(st.permutations(range(n)))]
+    token = st.one_of(
+        table_tokens,
+        st.sampled_from(MISSES),
+        st.sampled_from(["3", "5", "6", "7", "12"]),  # not powers of two
+        st.integers(min_value=n, max_value=MAX_ORDER - 1).map(lambda k: str(1 << k)),
+    )
+    cell = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i, j, k = min(draw(cell), len(rows) - 1), draw(cell), draw(cell)
+        row = rows[i]
+        kind = draw(st.sampled_from(["token", "junk", "duplicate", "swap", "ragged", "row"]))
+        if kind == "token":
+            row[min(j, len(row) - 1)] = draw(token)
+        elif kind == "junk":  # int refuses it: the block is malformed
+            row[min(j, len(row) - 1)] = draw(st.sampled_from(["x", "3.0", "1e3", "--"]))
+        elif kind == "duplicate":
+            row[min(j, len(row) - 1)] = row[min(k, len(row) - 1)]
+        elif kind == "swap":  # the row keeps its tokens, two columns break
+            row[0], row[-1] = row[-1], row[0]
+        elif kind == "ragged" and len(row) > 1 and draw(st.booleans()):
+            del row[-1]
+        elif kind == "ragged":
+            row.append(draw(token))
+        elif len(rows) > 1:
+            del rows[i]
+        else:
+            rows.append(list(row))
+    return rows
+
+
+def _join_blocks(blocks, gaps=("\n",)):
+    """Text of token-row blocks, block k followed by gaps[k] (cycled)."""
+    return "".join(
+        "\n".join(map(" ".join, rows)) + "\n" + gaps[k % len(gaps)] for k, rows in enumerate(blocks)
+    )
+
+
+def _malformed(rows):
+    try:
+        [int(tok) for row in rows for tok in row]
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(token_blocks(), min_size=1, max_size=4),
+    st.lists(st.sampled_from(["\n", "  \n", "\n\n", "\t\n"]), min_size=1, max_size=3),
+    st.sampled_from(READ_ARGVS),
+)
+def test_streaming_read_path_matches_the_whole_file_reference(blocks, gaps, argv):
+    text = _join_blocks(blocks, gaps)
+    want = _reference_read(argv, text)
+    bad = [k for k, rows in enumerate(blocks) if _malformed(rows)]
+    if bad and bad[0] > 0:
+        # a square before the first malformed block may fail first; the read
+        # path stops there, numbered since a further block follows
+        earlier = _reference_read(argv, _join_blocks(blocks[: bad[0]] + [[["1"]]]))
+        if earlier[0] != 0:
+            want = earlier
+    assert _call(argv, text) == want
+
+
+HUGE_ROW = " ".join(["9" * 5000] * 65) + "\n"  # oversized, and no token int reads
+LATER_BLOCKS = [
+    pytest.param("x\n", "not an integer row: 'x'", id="token"),
+    pytest.param(
+        "9" * 5000 + "\n",
+        f"not an integer row: {'9' * 5000!r}",
+        id="5000-digits",
+        marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="int reads any number of digits"
+        ),
+    ),
+    pytest.param("1\n" * 65, "input square is larger than 64 x 64", id="65-rows"),
+    pytest.param(HUGE_ROW, "input square is larger than 64 x 64", id="65-huge-tokens"),
+]
+
+
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("later, message", LATER_BLOCKS)
+def test_invalid_square_is_reported_before_a_later_malformed_block(argv, later, message):
+    verdict = "square 1: row 2 duplicates 2\n"
+    # square 1 is invalid in either form: the later block is never converted
+    want = (1, verdict, "") if argv[0] == "validate" else (1, "", verdict)
+    assert _call(argv, "1 2\n2 2\n\n" + later) == want
+    # after a valid square 1 the malformed block is refused as before
+    assert _call(argv, "1 2\n2 1\n\n" + later) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=" ".join)
+def test_oversized_first_line_is_refused_before_int(argv):
+    assert _call(argv, HUGE_ROW) == (2, "", "error: input square is larger than 64 x 64\n")
+
+
+def test_parse_text_yields_a_block_before_reading_the_next():
+    blocks = cli._parse_text("1 2\n2 2\n\n \nx\n", False)
+    assert next(blocks) == ([[1, 2], [2, 2]], False, True)
+    with pytest.raises(MalformedMatrix, match="not an integer row: 'x'"):
+        next(blocks)
+    assert list(cli._parse_text("1\n\n\n", True)) == [([[1]], False, False)]
 
 
 # ---------------------------------------------------------------- validate
