@@ -9,18 +9,19 @@ Text output is newline-terminated ASCII; multiple squares are separated
 by one blank line.  Both text forms hold at most 64 distinct values, so
 they go through fixed decimal tables built at import: a square is
 rendered from its symbols by table lookup, and each form is decoded
-straight to symbols through the exact inverse of its table.  A grid row
+straight to symbols through the exact inverse of its table.  A row
 holding any other token (a sign, a leading zero, an underscore, a
-non-ASCII digit, a huge value) is parsed by ``int``; so is every row of
-an exponential block holding one, which is then checked as powers of two.
-Values and messages are those of ``int`` throughout.
+non-ASCII digit, a huge value) is read by ``int``, with its values and
+messages; in exponential text each such value becomes its symbol when it
+is a positive power of two, and 0, which is no symbol, otherwise.
 
 ``validate`` and ``convert`` read text input square by square: each block
-is parsed and checked before the next is read, and ``convert`` writes
-only once every square has passed.  So the first invalid square is
-reported even when a later block is malformed.  Verdicts are numbered
-``square k:`` when the input holds more than one square.  JSON input is
-parsed whole.
+is parsed and checked by ``is_latin`` before the next is read, and
+``convert`` writes only once every square has passed.  So the first
+invalid square is reported even when a later block is malformed.  A
+failing square read from exponential text is named in that form, by
+``is_exponential_latin``.  Verdicts are numbered ``square k:`` when the
+input holds more than one square.  JSON input is parsed whole.
 
 Exit codes
     0  success / square is valid
@@ -48,13 +49,6 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------- formats
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 # symbol v in 1..MAX_ORDER -> its decimal text in each form; index 0 is unused
 _GRID_TEXT = ("",) + tuple(str(v) for v in range(1, MAX_ORDER + 1))
 _EXP_TEXT = ("",) + tuple(str(1 << (v - 1)) for v in range(1, MAX_ORDER + 1))
@@ -65,45 +59,45 @@ _EXP_SYMBOL = {text: v for v, text in enumerate(_EXP_TEXT) if v}
 
 def _parse_text(text: str, exponential: bool):
     """Lazily yield the blank-line separated blocks of whitespace-separated
-    integer rows in ``text`` as (rows, powers, numbered).
+    integer rows in ``text`` as (rows, lines, numbered): the rows decoded
+    to symbols, and the lines they were read from.
 
-    Each token is decoded to its symbol by the table of its form.  A grid
-    row holding any other token is read by ``int``.  An exponential block
-    holding any other token is read by ``int`` throughout, and ``powers``
-    says its rows hold those values rather than symbols.  A block is
-    yielded once the first line after it is seen, before that line is
-    converted, so ``numbered`` says whether the input holds more than one
-    block.
+    Each token is decoded to its symbol by the table of its form.  A row
+    holding any other token is read by ``int``; in exponential text each
+    such value becomes its symbol ``v.bit_length()`` when it is a positive
+    power of two, and 0, which is no symbol, otherwise.  A block is yielded
+    once the first line after it is seen, before that line is converted, so
+    ``numbered`` says whether the input holds more than one block.
     """
     lookup = (_EXP_SYMBOL if exponential else _GRID_SYMBOL).__getitem__
     rows: list[list[int]] = []
-    powers = gap = numbered = False
+    lines: list[str] = []
+    gap = numbered = False
     for line in text.splitlines():
         tokens = line.split(None, MAX_ORDER)
         if not tokens:
             gap = bool(rows)
             continue
         if gap:
-            yield rows, powers, True
-            rows, powers, gap, numbered = [], False, False, True
+            yield rows, lines, True
+            rows, lines, gap, numbered = [], [], False, True
         # refuse an oversized block before converting any more of it
         if len(tokens) > MAX_ORDER or len(rows) == MAX_ORDER:
             raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
-        if not powers:
-            try:
-                rows.append(list(map(lookup, tokens)))
-                continue
-            except KeyError:  # some token is not a table entry: int decides
-                if exponential:
-                    powers = True
-                    rows = [[1 << (v - 1) for v in row] for row in rows]
         try:
-            rows.append(list(map(int, tokens)))
-        except ValueError:
-            raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
+            row = list(map(lookup, tokens))
+        except KeyError:  # some token is not a table entry: int decides
+            try:
+                row = list(map(int, tokens))
+            except ValueError:
+                raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
+            if exponential:
+                row = [v.bit_length() if v > 0 and not v & (v - 1) else 0 for v in row]
+        rows.append(row)
+        lines.append(line)
     if not rows:
         raise MalformedMatrix("no matrix found in input")
-    yield rows, powers, numbered
+    yield rows, lines, numbered
 
 
 def _parse_json(text: str) -> list[list[list[int]]]:
@@ -132,16 +126,40 @@ def _parse_json(text: str) -> list[list[list[int]]]:
     return matrices
 
 
-def _load_squares(path: str, exp_text: bool):
-    """The squares of an input file, as an iterator of (rows, powers,
-    numbered) in the manner of ``_parse_text``, and whether they came from
-    exponential text.  Text is exponential when ``exp_text`` says so; JSON
-    always carries symbols and is parsed whole."""
-    text = _read_source(path)
+def _squares(path: str, exp_text: bool):
+    """Yield the symbol rows of each square of an input file, checked by
+    ``is_latin``; at the first failing square yield its verdict line
+    instead, numbered when the input holds more than one square, and stop.
+
+    Text is exponential when ``exp_text`` says so, and a failing square
+    read from it is named in that form, by ``is_exponential_latin`` on its
+    values as written, which reports a non-power cell before any duplicate.
+    JSON always carries symbols and is parsed whole.
+    """
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     if text.lstrip()[:1] in ("{", "["):
         matrices = _parse_json(text)
-        return ((cells, False, len(matrices) > 1) for cells in matrices), False
-    return _parse_text(text, exp_text), exp_text
+        blocks = ((cells, None, len(matrices) > 1) for cells in matrices)
+        exp_text = False
+    else:
+        blocks = _parse_text(text, exp_text)
+    for idx, (rows, lines, numbered) in enumerate(blocks, start=1):
+        verdict = is_latin(rows)
+        if verdict:
+            yield rows
+            continue
+        if exp_text:  # only a row that holds 0 had a value that is no power
+            written = [
+                list(map(int, line.split())) if 0 in row else [1 << (v - 1) for v in row]
+                for row, line in zip(rows, lines)
+            ]
+            verdict = is_exponential_latin(written)
+        yield f"square {idx}: {verdict.message}" if numbered else verdict.message
+        return
 
 
 def _render_text(cells, names) -> str:
@@ -180,31 +198,10 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _invalid(idx: int, numbered: bool, message: str) -> str:
-    """Verdict line for square ``idx``; numbered when the input holds more
-    than one square."""
-    return f"square {idx}: {message}" if numbered else message
-
-
-def _verdict(rows, exponential: bool, powers: bool):
-    """The verdict on one square: ``is_exponential_latin`` on rows of
-    powers, else ``is_latin`` on rows of symbols.  A failing square read
-    from exponential text is named in that form, by ``is_exponential_latin``
-    on its powers, which reports a non-power cell before any duplicate."""
-    if powers:
-        return is_exponential_latin(rows)
-    verdict = is_latin(rows)
-    if verdict or not exponential:
-        return verdict
-    return is_exponential_latin([[1 << (v - 1) for v in row] for row in rows])
-
-
 def _cmd_validate(args) -> int:
-    squares, exponential = _load_squares(args.file, args.exp)
-    for idx, (rows, powers, numbered) in enumerate(squares, start=1):
-        verdict = _verdict(rows, exponential, powers)
-        if not verdict:
-            print(_invalid(idx, numbered, verdict.message))
+    for rows in _squares(args.file, args.exp):
+        if isinstance(rows, str):  # the verdict on the first failing square
+            print(rows)
             return EXIT_INVALID
     print("VALID")
     return EXIT_OK
@@ -212,16 +209,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     # text input is taken to be in the form opposite the target
-    squares, exponential = _load_squares(args.file, args.to == "grid")
     names = _EXP_TEXT if args.to == "exp" else _GRID_TEXT
     blocks = []
-    for idx, (rows, powers, numbered) in enumerate(squares, start=1):
-        verdict = _verdict(rows, exponential, powers)
-        if not verdict:  # the message names the first violation
-            print(_invalid(idx, numbered, verdict.message), file=sys.stderr)
+    for rows in _squares(args.file, args.to == "grid"):
+        if isinstance(rows, str):  # the message names the first violation
+            print(rows, file=sys.stderr)
             return EXIT_INVALID
-        if powers:  # each checked cell 2**(k-1) becomes the symbol k
-            rows = [map(int.bit_length, row) for row in rows]
         blocks.append(_render_text(rows, names))
     sys.stdout.write("\n".join(blocks))
     return EXIT_OK
@@ -270,7 +263,6 @@ def _naive_generate(n, src):
     replaced by the obvious list-of-flags bookkeeping; a dead-end cell
     goes through the same repair.  Returns (rows of symbols 1..n, repairs).
     """
-    check_order(n)
     grid = [[0] * n for _ in range(n)]
     repairs = 0
     for row in range(n):
@@ -371,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed its message
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code
     try:
         return args.func(args)
     except (LatinSqError, OSError, ValueError) as exc:

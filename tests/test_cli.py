@@ -257,20 +257,25 @@ def _outcome(parse, text):
         return "refused", str(exc)
 
 
-# the canonical decimal spellings of 2**0 .. 2**63, built without the tables
-POWER_TEXT = frozenset(str(1 << k) for k in range(MAX_ORDER))
-
-
 def _expected_blocks(blocks, exponential):
-    """What the lazy parser yields for the reference's blocks: int values,
-    except that an exponential block whose tokens are all canonical powers
-    holds the symbols int(text).bit_length()."""
-    expected = []
-    for block in blocks:
-        decoded = exponential and all(tok in POWER_TEXT for row in block for tok, _ in row)
-        rows = [[v.bit_length() if decoded else v for _, v in row] for row in block]
-        expected.append((rows, exponential and not decoded, len(blocks) > 1))
-    return expected
+    """What the lazy parser yields for the reference's blocks, with each
+    line given by its tokens: int values in grid text; in exponential text
+    the symbol int(text).bit_length() of a positive power of two, and 0 for
+    any other value."""
+
+    def symbol(v):
+        if not exponential:
+            return v
+        return v.bit_length() if v > 0 and v.bit_count() == 1 else 0
+
+    return [
+        (
+            [[symbol(v) for _, v in row] for row in block],
+            [[tok for tok, _ in row] for row in block],
+            len(blocks) > 1,
+        )
+        for block in blocks
+    ]
 
 
 # tokens int reads but the tables hold in another spelling, or not at all,
@@ -294,9 +299,10 @@ def test_parse_text_agrees_with_int_on_every_token(text, exponential):
     want = _outcome(_int_parse_text, text)
     if want[0] == "ok":
         want = "ok", _expected_blocks(want[1], exponential)
-    assert got == want
     if got[0] == "ok":
         assert all(type(v) is int for rows, _, _ in got[1] for row in rows for v in row)
+        got = "ok", [(rows, [line.split() for line in lines], n) for rows, lines, n in got[1]]
+    assert got == want
 
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
@@ -481,10 +487,59 @@ def test_oversized_first_line_is_refused_before_int(argv):
 
 def test_parse_text_yields_a_block_before_reading_the_next():
     blocks = cli._parse_text("1 2\n2 2\n\n \nx\n", False)
-    assert next(blocks) == ([[1, 2], [2, 2]], False, True)
+    assert next(blocks) == ([[1, 2], [2, 2]], ["1 2", "2 2"], True)
     with pytest.raises(MalformedMatrix, match="not an integer row: 'x'"):
         next(blocks)
-    assert list(cli._parse_text("1\n\n\n", True)) == [([[1]], False, False)]
+    assert list(cli._parse_text("1\n\n\n", True)) == [([[1]], ["1"], False)]
+    # an exponential miss is its symbol when a positive power of two, else 0
+    assert list(cli._parse_text("+4 1 2\n1 3 -2\n", True)) == [
+        ([[3, 1, 2], [1, 0, 0]], ["+4 1 2", "1 3 -2"], False)
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, expected, written",
+    [
+        pytest.param("1 +2\n02 1\n", "1 2\n2 1\n", None, id="valid-signed-and-padded"),
+        pytest.param("04 1 2\n1 2 +4\n2 4 1\n", "3 1 2\n1 2 3\n2 3 1\n", None, id="valid-misses"),
+        pytest.param(
+            "1 6\n2 1\n",
+            "row 1 column 2 contains 6, not a power of two in 1..2\n",
+            [[1, 6], [2, 1]],
+            id="non-power",
+        ),
+        pytest.param("+2 1\n02 1\n", "column 1 duplicates 2\n", [[2, 1], [2, 1]], id="duplicate"),
+        pytest.param(
+            "1 2\n2 1\n\n1 0\n-1 1\n",
+            "square 2: row 1 column 2 contains 0, not a power of two in 1..2\n",
+            [[1, 0], [-1, 1]],
+            id="second-square",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "-", "--exp"], ["convert", "-", "--to", "grid"]],
+    ids=["validate", "convert"],
+)
+def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, expected, written):
+    """``is_exponential_latin`` never sees a valid square, and sees a
+    failing one once, on its values as written; ``expected`` is the grid of
+    a valid square or the verdict on a failing one."""
+    calls = []
+
+    def naming(matrix):
+        calls.append([list(row) for row in matrix])
+        return validator.is_exponential_latin(matrix)
+
+    monkeypatch.setattr(cli, "is_exponential_latin", naming)
+    validate = argv[0] == "validate"
+    if written is None:
+        assert _call(argv, text) == (0, "VALID\n" if validate else expected, "")
+        assert calls == []
+    else:
+        assert _call(argv, text) == ((1, expected, "") if validate else (1, "", expected))
+        assert calls == [written]
 
 
 # ---------------------------------------------------------------- validate
