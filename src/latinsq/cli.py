@@ -19,9 +19,10 @@ is a positive power of two, and 0, which is no symbol, otherwise.
 is parsed and checked by ``is_latin`` before the next is read, and
 ``convert`` writes only once every square has passed.  So the first
 invalid square is reported even when a later block is malformed.  A
-failing square read from exponential text is named in that form, by
-``is_exponential_latin``.  Verdicts are numbered ``square k:`` when the
-input holds more than one square.  JSON input is parsed whole.
+failing exponential square keeps ``is_latin``'s verdict unless a cell is
+no power in 1..2**(n-1), which ``is_exponential_latin`` then names.
+Verdicts are numbered ``square k:`` when the input holds more than one
+square.  JSON input is parsed whole.
 
 Exit codes
     0  success / square is valid
@@ -131,10 +132,10 @@ def _squares(path: str, exp_text: bool):
     ``is_latin``; at the first failing square yield its verdict line
     instead, numbered when the input holds more than one square, and stop.
 
-    Text is exponential when ``exp_text`` says so, and a failing square
-    read from it is named in that form, by ``is_exponential_latin`` on its
-    values as written, which reports a non-power cell before any duplicate.
-    JSON always carries symbols and is parsed whole.
+    Text is exponential when ``exp_text`` says so.  A failing square read
+    from it with a cell that is no power in 1..2**(n-1) is named by
+    ``is_exponential_latin`` on its values as written, which reports that
+    cell first; JSON always carries symbols and is parsed whole.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -152,12 +153,10 @@ def _squares(path: str, exp_text: bool):
         if verdict:
             yield rows
             continue
-        if exp_text:  # only a row that holds 0 had a value that is no power
-            written = [
-                list(map(int, line.split())) if 0 in row else [1 << (v - 1) for v in row]
-                for row, line in zip(rows, lines)
-            ]
-            verdict = is_exponential_latin(written)
+        # a symbol outside 1..n is a cell that is no power in 1..2**(n-1);
+        # without one, both forms fail first at the same row or column
+        if exp_text and (min(map(min, rows)) < 1 or max(map(max, rows)) > len(rows)):
+            verdict = is_exponential_latin([list(map(int, line.split())) for line in lines])
         yield f"square {idx}: {verdict.message}" if numbered else verdict.message
         return
 

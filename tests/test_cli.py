@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, round trips, bench."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -183,6 +184,21 @@ def test_readme_examples(capsys, tmp_path):
     assert grid.splitlines()[0] == "6 3 9 1 2 12 10 4 7 11 5 8"
 
 
+def test_readme_library_block_shows_its_values():
+    """The README's ``## Library`` block runs, and each ``expr  # value``
+    line in it evaluates to the value its comment shows."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)  # the block's own asserts run here
+    shown = [line.partition("  # ")[::2] for line in block.splitlines() if "  # " in line]
+    assert shown
+    for expr, value in shown:
+        assert eval(expr, namespace) == ast.literal_eval(value.strip()), expr
+
+
 # sha256 over the output of every call below, as released in 0.3.0
 GOLDEN_OUTPUT = "757ca850b33df87c52b990d60cfc10989ea8e39b9f35f80643731bbc759090c0"
 
@@ -328,6 +344,8 @@ READ_ARGVS = [
     ["convert", "-", "--to", "grid"],
     ["convert", "-", "--to", "exp"],
 ]
+# test ids without spaces, so a list of ids split on whitespace keeps each case
+READ_IDS = ["validate", "validate-exp", "convert-to-grid", "convert-to-exp"]
 
 
 def _call(argv, text):
@@ -469,7 +487,7 @@ LATER_BLOCKS = [
 ]
 
 
-@pytest.mark.parametrize("argv", READ_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)
 @pytest.mark.parametrize("later, message", LATER_BLOCKS)
 def test_invalid_square_is_reported_before_a_later_malformed_block(argv, later, message):
     verdict = "square 1: row 2 duplicates 2\n"
@@ -480,7 +498,7 @@ def test_invalid_square_is_reported_before_a_later_malformed_block(argv, later, 
     assert _call(argv, "1 2\n2 1\n\n" + later) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv", READ_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)
 def test_oversized_first_line_is_refused_before_int(argv):
     assert _call(argv, HUGE_ROW) == (2, "", "error: input square is larger than 64 x 64\n")
 
@@ -498,21 +516,30 @@ def test_parse_text_yields_a_block_before_reading_the_next():
 
 
 @pytest.mark.parametrize(
-    "text, expected, written",
+    "text, code, expected, named",
     [
-        pytest.param("1 +2\n02 1\n", "1 2\n2 1\n", None, id="valid-signed-and-padded"),
-        pytest.param("04 1 2\n1 2 +4\n2 4 1\n", "3 1 2\n1 2 3\n2 3 1\n", None, id="valid-misses"),
+        pytest.param("1 +2\n02 1\n", 0, "1 2\n2 1\n", [], id="valid-signed-and-padded"),
+        pytest.param("04 1 2\n1 2 +4\n2 4 1\n", 0, "3 1 2\n1 2 3\n2 3 1\n", [], id="valid-misses"),
         pytest.param(
             "1 6\n2 1\n",
+            1,
             "row 1 column 2 contains 6, not a power of two in 1..2\n",
-            [[1, 6], [2, 1]],
+            [[[1, 6], [2, 1]]],
             id="non-power",
         ),
-        pytest.param("+2 1\n02 1\n", "column 1 duplicates 2\n", [[2, 1], [2, 1]], id="duplicate"),
+        pytest.param("+2 1\n02 1\n", 1, "column 1 duplicates 2\n", [], id="duplicate"),
+        pytest.param(
+            "1 4\n4 1\n",
+            1,
+            "row 1 column 2 contains 4, not a power of two in 1..2\n",
+            [[[1, 4], [4, 1]]],
+            id="power-above-range",
+        ),
         pytest.param(
             "1 2\n2 1\n\n1 0\n-1 1\n",
+            1,
             "square 2: row 1 column 2 contains 0, not a power of two in 1..2\n",
-            [[1, 0], [-1, 1]],
+            [[[1, 0], [-1, 1]]],
             id="second-square",
         ),
     ],
@@ -522,10 +549,12 @@ def test_parse_text_yields_a_block_before_reading_the_next():
     [["validate", "-", "--exp"], ["convert", "-", "--to", "grid"]],
     ids=["validate", "convert"],
 )
-def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, expected, written):
-    """``is_exponential_latin`` never sees a valid square, and sees a
-    failing one once, on its values as written; ``expected`` is the grid of
-    a valid square or the verdict on a failing one."""
+def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, code, expected, named):
+    """``is_exponential_latin`` never sees a valid square, nor a failing
+    one whose cells are all powers in 1..2**(n-1), whose verdict is
+    ``is_latin``'s; it sees any other failing square once, on its values
+    as written.  ``expected`` is the grid of a valid square or the verdict
+    on a failing one, and ``named`` the matrices it was called on."""
     calls = []
 
     def naming(matrix):
@@ -533,13 +562,12 @@ def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, 
         return validator.is_exponential_latin(matrix)
 
     monkeypatch.setattr(cli, "is_exponential_latin", naming)
-    validate = argv[0] == "validate"
-    if written is None:
-        assert _call(argv, text) == (0, "VALID\n" if validate else expected, "")
-        assert calls == []
+    if code == 0:
+        want = (0, "VALID\n" if argv[0] == "validate" else expected, "")
     else:
-        assert _call(argv, text) == ((1, expected, "") if validate else (1, "", expected))
-        assert calls == [written]
+        want = (1, expected, "") if argv[0] == "validate" else (1, "", expected)
+    assert _call(argv, text) == want
+    assert calls == named
 
 
 # ---------------------------------------------------------------- validate
