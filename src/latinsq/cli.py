@@ -7,22 +7,25 @@ Formats
           squares become an array of such objects
 Text output is newline-terminated ASCII; multiple squares are separated
 by one blank line.  Both text forms hold at most 64 distinct values, so
-they go through fixed decimal tables built at import: a square is
-rendered from its symbols by table lookup, and each form is decoded
-straight to symbols through the exact inverse of its table.  A row
+they go through fixed decimal tables built at import.  Each form is
+decoded through the table from its text to the power 2**(v-1) of the
+symbol v it spells, and ``convert`` renders those powers through tables
+keyed by the power; ``generate`` renders its symbols by index.  A row
 holding any other token (a sign, a leading zero, an underscore, a
 non-ASCII digit, a huge value) is read by ``int``, with its values and
-messages; in exponential text each such value becomes its symbol when it
-is a positive power of two, and 0, which is no symbol, otherwise.
+messages.  In exponential text each such value is kept when it is a
+positive power of two; in grid text v becomes 2**(v-1) when it is in
+1..64.  Any other value becomes 0.
 
 ``validate`` and ``convert`` read text input square by square: each block
-is parsed and checked by ``is_latin`` before the next is read, and
-``convert`` writes only once every square has passed.  So the first
-invalid square is reported even when a later block is malformed.  A
-failing exponential square keeps ``is_latin``'s verdict unless a cell is
-no power in 1..2**(n-1), which ``is_exponential_latin`` then names.
-Verdicts are numbered ``square k:`` when the input holds more than one
-square.  JSON input is parsed whole.
+is parsed and decided by ``is_packed_latin`` (n x n, every row and column
+summing to 2**n - 1) before the next is read, and ``convert`` writes only
+once every square has passed.  So the first invalid square is reported
+even when a later block is malformed.  A failing square is named from its
+values as written, by ``is_exponential_latin`` or ``is_latin``.  Verdicts
+are numbered ``square k:`` when the input holds more than one square.
+JSON input is parsed whole and, its cells being typed, checked by
+``is_latin``.
 
 Exit codes
     0  success / square is valid
@@ -40,7 +43,7 @@ from .latin_gen import _repair_row, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import COUNT_CAP, count_all
 from .rng_choice import RandomSource
-from .validator import is_exponential_latin, is_latin
+from .validator import is_exponential_latin, is_latin, is_packed_latin
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -53,24 +56,29 @@ EXIT_USAGE = 2
 # symbol v in 1..MAX_ORDER -> its decimal text in each form; index 0 is unused
 _GRID_TEXT = ("",) + tuple(str(v) for v in range(1, MAX_ORDER + 1))
 _EXP_TEXT = ("",) + tuple(str(1 << (v - 1)) for v in range(1, MAX_ORDER + 1))
-# the exact inverses: decimal text -> the symbol it spells in that form
-_GRID_SYMBOL = {text: v for v, text in enumerate(_GRID_TEXT) if v}
-_EXP_SYMBOL = {text: v for v, text in enumerate(_EXP_TEXT) if v}
+# decimal text -> the power 2**(v-1) of the symbol v it spells in that form
+_GRID_POWER = {text: 1 << (v - 1) for v, text in enumerate(_GRID_TEXT) if v}
+_EXP_POWER = {text: 1 << (v - 1) for v, text in enumerate(_EXP_TEXT) if v}
+# and back: the power of symbol v -> the decimal text of v in each form
+_POWER_GRID_TEXT = {power: text for text, power in _GRID_POWER.items()}
+_POWER_EXP_TEXT = {power: text for text, power in _EXP_POWER.items()}
 
 
 def _parse_text(text: str, exponential: bool):
     """Lazily yield the blank-line separated blocks of whitespace-separated
     integer rows in ``text`` as (rows, lines, numbered): the rows decoded
-    to symbols, and the lines they were read from.
+    to powers of two, and the lines they were read from.
 
-    Each token is decoded to its symbol by the table of its form.  A row
-    holding any other token is read by ``int``; in exponential text each
-    such value becomes its symbol ``v.bit_length()`` when it is a positive
-    power of two, and 0, which is no symbol, otherwise.  A block is yielded
-    once the first line after it is seen, before that line is converted, so
-    ``numbered`` says whether the input holds more than one block.
+    Each token is decoded by the table of its form to the power 2**(v-1)
+    of the symbol v it spells.  A row holding any other token is read by
+    ``int``.  In exponential text each such value is kept when it is a
+    positive power of two; in grid text v becomes 2**(v-1) when it is in
+    1..64.  Any other value becomes 0, so every cell is 0 or a power of
+    two.  A block is yielded once the first line after it is seen, before
+    that line is converted, so ``numbered`` says whether the input holds
+    more than one block.
     """
-    lookup = (_EXP_SYMBOL if exponential else _GRID_SYMBOL).__getitem__
+    lookup = (_EXP_POWER if exponential else _GRID_POWER).__getitem__
     rows: list[list[int]] = []
     lines: list[str] = []
     gap = numbered = False
@@ -93,7 +101,9 @@ def _parse_text(text: str, exponential: bool):
             except ValueError:
                 raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
             if exponential:
-                row = [v.bit_length() if v > 0 and not v & (v - 1) else 0 for v in row]
+                row = [v if v > 0 and not v & (v - 1) else 0 for v in row]
+            else:
+                row = [1 << (v - 1) if 0 < v <= MAX_ORDER else 0 for v in row]
         rows.append(row)
         lines.append(line)
     if not rows:
@@ -128,14 +138,19 @@ def _parse_json(text: str) -> list[list[list[int]]]:
 
 
 def _squares(path: str, exp_text: bool):
-    """Yield the symbol rows of each square of an input file, checked by
-    ``is_latin``; at the first failing square yield its verdict line
+    """Yield each square of an input file as rows of the powers 2**(v-1)
+    of its symbols v; at the first failing square yield its verdict line
     instead, numbered when the input holds more than one square, and stop.
 
-    Text is exponential when ``exp_text`` says so.  A failing square read
-    from it with a cell that is no power in 1..2**(n-1) is named by
-    ``is_exponential_latin`` on its values as written, which reports that
-    cell first; JSON always carries symbols and is parsed whole.
+    Text, exponential when ``exp_text`` says so, is decoded to cells that
+    are each 0 or a power of two, and ``is_packed_latin`` decides it from
+    its row and column sums.  A failing text square is named from its
+    values as written: by ``is_exponential_latin`` in exponential text,
+    on the decoded rows when no cell decoded to 0 (they are then those
+    values) and on the lines read again by ``int`` otherwise, and by
+    ``is_latin`` on those lines in grid text.  JSON carries typed symbols
+    and is parsed whole; ``is_latin`` decides it, and a passing square is
+    lifted to powers.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -145,25 +160,30 @@ def _squares(path: str, exp_text: bool):
     if text.lstrip()[:1] in ("{", "["):
         matrices = _parse_json(text)
         blocks = ((cells, None, len(matrices) > 1) for cells in matrices)
-        exp_text = False
     else:
         blocks = _parse_text(text, exp_text)
     for idx, (rows, lines, numbered) in enumerate(blocks, start=1):
-        verdict = is_latin(rows)
-        if verdict:
+        if lines is None:  # JSON
+            verdict = is_latin(rows)
+            if verdict:
+                yield [[1 << (v - 1) for v in row] for row in rows]
+                continue
+        elif is_packed_latin(rows):
             yield rows
             continue
-        # a symbol outside 1..n is a cell that is no power in 1..2**(n-1);
-        # without one, both forms fail first at the same row or column
-        if exp_text and (min(map(min, rows)) < 1 or max(map(max, rows)) > len(rows)):
-            verdict = is_exponential_latin([list(map(int, line.split())) for line in lines])
+        elif exp_text and all(map(all, rows)):  # no 0: the values as written
+            verdict = is_exponential_latin(rows)
+        else:
+            written = [list(map(int, line.split())) for line in lines]
+            verdict = (is_exponential_latin if exp_text else is_latin)(written)
         yield f"square {idx}: {verdict.message}" if numbered else verdict.message
         return
 
 
 def _render_text(cells, names) -> str:
-    """Rows of symbols 1..n as text, each symbol spelled by ``names``
-    (``_GRID_TEXT`` or ``_EXP_TEXT``)."""
+    """Rows of cells as text, each cell spelled by ``names``: symbols by
+    ``_GRID_TEXT`` or ``_EXP_TEXT``, powers by ``_POWER_GRID_TEXT`` or
+    ``_POWER_EXP_TEXT``."""
     return "".join(" ".join(map(names.__getitem__, row)) + "\n" for row in cells)
 
 
@@ -208,7 +228,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     # text input is taken to be in the form opposite the target
-    names = _EXP_TEXT if args.to == "exp" else _GRID_TEXT
+    names = _POWER_EXP_TEXT if args.to == "exp" else _POWER_GRID_TEXT
     blocks = []
     for rows in _squares(args.file, args.to == "grid"):
         if isinstance(rows, str):  # the message names the first violation

@@ -25,6 +25,15 @@ first cell that is not such a power or, when every cell is one, by
 ``is_latin`` on the symbol form: a row or column of powers passes the
 packed test exactly when its symbols are a permutation, so both forms
 fail first at the same row or column.
+
+When every cell is already known to be 0 or a power of two, as for text
+the CLI decodes, the sums alone decide (``is_packed_latin``): n such cells
+sum to 2**n - 1 only when they are 2**0 .. 2**(n-1) once each.  A sum of
+m powers of two has at most m one bits, and exactly m only when no two
+are equal, since equal powers carry; 2**n - 1 has n one bits, so the n
+cells are n distinct powers below 2**n, which are those n.  So a square
+of such cells is Latin in exponential form exactly when it is n x n and
+every row and every column sums to 2**n - 1.
 """
 
 from collections import namedtuple
@@ -33,7 +42,7 @@ from operator import or_
 from typing import NamedTuple, Sequence
 
 from .errors import MalformedMatrix
-from .mask_set import check_order
+from .mask_set import MAX_ORDER, check_order
 
 Matrix = Sequence[Sequence[int]]
 Cells = tuple[tuple[int, ...], ...]
@@ -126,6 +135,23 @@ def is_exponential_latin(matrix: Matrix) -> ValidationResult:
                 )
     # every cell is a power, so each form fails first at the same row or column
     return _latin_verdict([tuple(map(int.bit_length, row)) for row in matrix], n)
+
+
+def is_packed_latin(matrix: Matrix) -> bool:
+    """Whether a matrix whose every cell is 0 or a power of two is the
+    exponential form of a Latin square: n x n, with n in 1..MAX_ORDER, and
+    every row and every column summing to 2**n - 1.
+
+    No cell is visited one at a time and no set is built.  The shape is
+    checked first, since a ragged row can hit the sum (``1 1 1`` at n = 2).
+    False wherever ``is_latin`` and ``is_exponential_latin`` refuse the
+    shape; it names no failure.
+    """
+    n = len(matrix)
+    if not 0 < n <= MAX_ORDER or not all(map(n.__eq__, map(len, matrix))):
+        return False
+    is_full = ((1 << n) - 1).__eq__
+    return all(map(is_full, map(sum, matrix))) and all(map(is_full, map(sum, zip(*matrix))))
 
 
 class LatinSquare(namedtuple("LatinSquare", "cells")):

@@ -234,13 +234,18 @@ def test_text_tables_spell_each_symbol_in_decimal():
     for v in range(1, MAX_ORDER + 1):
         assert cli._GRID_TEXT[v] == str(v)
         assert cli._EXP_TEXT[v] == str(1 << (v - 1))
-    # each symbol table is the exact inverse of its render table
-    for names, symbols in ((cli._GRID_TEXT, cli._GRID_SYMBOL), (cli._EXP_TEXT, cli._EXP_SYMBOL)):
-        assert len(symbols) == MAX_ORDER
+    # each form decodes the text of symbol v to the power 2**(v-1), and
+    # renders that power back to the same text
+    for names, powers, spell in (
+        (cli._GRID_TEXT, cli._GRID_POWER, cli._POWER_GRID_TEXT),
+        (cli._EXP_TEXT, cli._EXP_POWER, cli._POWER_EXP_TEXT),
+    ):
+        assert len(powers) == len(spell) == MAX_ORDER
         for v in range(1, MAX_ORDER + 1):
-            assert symbols[names[v]] == v
-        for text, v in symbols.items():
-            assert type(v) is int and names[v] == text
+            assert powers[names[v]] == 1 << (v - 1)
+            assert spell[1 << (v - 1)] == names[v]
+        for text, power in powers.items():
+            assert type(power) is int and spell[power] == text
 
 
 def _int_parse_text(text):
@@ -275,18 +280,18 @@ def _outcome(parse, text):
 
 def _expected_blocks(blocks, exponential):
     """What the lazy parser yields for the reference's blocks, with each
-    line given by its tokens: int values in grid text; in exponential text
-    the symbol int(text).bit_length() of a positive power of two, and 0 for
-    any other value."""
+    line given by its tokens: in grid text the power 2**(v-1) of a value v
+    in 1..64; in exponential text a value that is a positive power of two;
+    and 0 for any other value."""
 
-    def symbol(v):
+    def power(v):
         if not exponential:
-            return v
-        return v.bit_length() if v > 0 and v.bit_count() == 1 else 0
+            return 1 << (v - 1) if 1 <= v <= MAX_ORDER else 0
+        return v if v > 0 and v.bit_count() == 1 else 0
 
     return [
         (
-            [[symbol(v) for _, v in row] for row in block],
+            [[power(v) for _, v in row] for row in block],
             [[tok for tok, _ in row] for row in block],
             len(blocks) > 1,
         )
@@ -297,7 +302,7 @@ def _expected_blocks(blocks, exponential):
 # tokens int reads but the tables hold in another spelling, or not at all,
 # and tokens int refuses
 MISSES = ["+4", "04", "1_0", "\u0663", "-8", str(1 << 64), "x", "0", "65", "3.0", "1e3", "\uff18"]
-table_tokens = st.sampled_from(sorted(set(cli._GRID_SYMBOL) | set(cli._EXP_SYMBOL)))
+table_tokens = st.sampled_from(sorted(set(cli._GRID_POWER) | set(cli._EXP_POWER)))
 row_tokens = st.lists(
     st.one_of(table_tokens, table_tokens, st.sampled_from(MISSES)), min_size=1, max_size=6
 )
@@ -499,6 +504,20 @@ def test_invalid_square_is_reported_before_a_later_malformed_block(argv, later, 
 
 
 @pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        pytest.param("1 1 1\n2 1\n", 1, id="carry"),
+        pytest.param("1 2\n2 1 0\n", 2, id="zero"),  # the columns that zip sees sum to 3 too
+    ],
+)
+def test_ragged_rows_that_hit_the_sums_are_refused_as_not_square(argv, text, row):
+    # each row decodes to cells summing to 3 = 2**2 - 1 in either form
+    want = (2, "", f"error: matrix is not square: 2 rows but row {row} has 3 entries\n")
+    assert _call(argv, text) == want
+
+
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)
 def test_oversized_first_line_is_refused_before_int(argv):
     assert _call(argv, HUGE_ROW) == (2, "", "error: input square is larger than 64 x 64\n")
 
@@ -509,9 +528,9 @@ def test_parse_text_yields_a_block_before_reading_the_next():
     with pytest.raises(MalformedMatrix, match="not an integer row: 'x'"):
         next(blocks)
     assert list(cli._parse_text("1\n\n\n", True)) == [([[1]], ["1"], False)]
-    # an exponential miss is its symbol when a positive power of two, else 0
+    # an exponential miss is kept when a positive power of two, else 0
     assert list(cli._parse_text("+4 1 2\n1 3 -2\n", True)) == [
-        ([[3, 1, 2], [1, 0, 0]], ["+4 1 2", "1 3 -2"], False)
+        ([[4, 1, 2], [1, 0, 0]], ["+4 1 2", "1 3 -2"], False)
     ]
 
 
@@ -527,7 +546,9 @@ def test_parse_text_yields_a_block_before_reading_the_next():
             [[[1, 6], [2, 1]]],
             id="non-power",
         ),
-        pytest.param("+2 1\n02 1\n", 1, "column 1 duplicates 2\n", [], id="duplicate"),
+        pytest.param(
+            "+2 1\n02 1\n", 1, "column 1 duplicates 2\n", [[[2, 1], [2, 1]]], id="duplicate"
+        ),
         pytest.param(
             "1 4\n4 1\n",
             1,
@@ -550,11 +571,13 @@ def test_parse_text_yields_a_block_before_reading_the_next():
     ids=["validate", "convert"],
 )
 def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, code, expected, named):
-    """``is_exponential_latin`` never sees a valid square, nor a failing
-    one whose cells are all powers in 1..2**(n-1), whose verdict is
-    ``is_latin``'s; it sees any other failing square once, on its values
-    as written.  ``expected`` is the grid of a valid square or the verdict
-    on a failing one, and ``named`` the matrices it was called on."""
+    """The sums decide exponential text, so ``is_exponential_latin`` never
+    sees a valid square; it names a failing one once, on its values as
+    written: the decoded rows when no cell decoded to 0 (``+2`` and ``02``
+    are 2), else the lines read again by ``int``.  ``expected`` is the grid
+    of a valid square or the verdict on a failing one, and ``named`` the
+    matrices the naming call saw.  The name is kept from when ``is_latin``
+    decided the symbols, so the ids stay stable."""
     calls = []
 
     def naming(matrix):

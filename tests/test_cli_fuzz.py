@@ -169,6 +169,10 @@ def test_convert_fuzz(text, to):
     assert (code == 0) == oracle_is_latin(text, to == "grid")
     if code != 0:
         assert out == ""
+    else:  # the oracle's squares, spelled in the target form
+        spell = str if to == "grid" else lambda v: str(1 << (v - 1))
+        squares = _oracle_squares(text, to == "grid")
+        assert out == _text([[list(map(spell, row)) for row in rows] for rows in squares])
 
 
 # ---------------------------------------------------------------- argv

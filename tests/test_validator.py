@@ -12,7 +12,13 @@ from latinsq.latin_gen import generate
 from latinsq.mask_set import check_order
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
-from latinsq.validator import LatinSquare, ValidationResult, is_exponential_latin, is_latin
+from latinsq.validator import (
+    LatinSquare,
+    ValidationResult,
+    is_exponential_latin,
+    is_latin,
+    is_packed_latin,
+)
 
 
 def test_single_cell():
@@ -289,6 +295,51 @@ def test_failing_exponential_square_is_shape_checked_once(monkeypatch):
     powers[40][3], powers[40][9] = powers[40][9], powers[40][3]  # breaks columns 4 and 10
     assert is_exponential_latin(powers).message.startswith("column 4 duplicates")
     assert len(calls) == 1
+
+
+@st.composite
+def power_matrices(draw):
+    """Matrices of order 1-6 whose cells are 0 or powers up to 2**(n+1):
+    often the exponential form of a Latin square with a few cells
+    replaced, and often with rows one cell shorter or longer than n."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cell = st.sampled_from([0] + [1 << k for k in range(n + 2)])
+    index = st.integers(min_value=0, max_value=n - 1)
+    if draw(st.booleans()):
+        shift = draw(st.permutations(range(n)))
+        rows = [[1 << shift[(r + c) % n] for c in range(n)] for r in draw(st.permutations(range(n)))]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            rows[draw(index)][draw(index)] = draw(cell)
+    else:
+        rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = rows[draw(index)]
+        if draw(st.booleans()):
+            row.append(draw(cell))
+        elif len(row) > 1:
+            row.pop()
+    return rows
+
+
+@settings(max_examples=1000, deadline=None)
+@given(power_matrices())
+def test_packed_sums_decide_as_is_exponential_latin(matrix):
+    """n cells that are each 0 or a power of two sum to 2**n - 1 only when
+    they are 2**0 .. 2**(n-1) once each, so the sums alone decide."""
+    try:
+        want = bool(is_exponential_latin(matrix))
+    except MalformedMatrix:  # the shape check refuses it
+        want = False
+    assert is_packed_latin(matrix) is want
+
+
+def test_packed_sums_check_the_shape_first():
+    # each row sums to 3 = 2**2 - 1, but the matrix is not square
+    assert not is_packed_latin([[1, 1, 1], [2, 1]])
+    # and here the first two columns do too
+    assert not is_packed_latin([[1, 2], [2, 1, 0]])
+    assert not is_packed_latin([])
+    assert is_packed_latin([[1, 2], [2, 1]])
 
 
 # ---------------------------------------------------------------- square type
