@@ -10,12 +10,9 @@ by one blank line.  Both text forms hold at most 64 distinct values, so
 they go through fixed decimal tables built at import.  Each form is
 decoded through the table from its text to the power 2**(v-1) of the
 symbol v it spells, and ``convert`` renders those powers through tables
-keyed by the power; ``generate`` renders its symbols by index.  A row
-holding any other token (a sign, a leading zero, an underscore, a
-non-ASCII digit, a huge value) is read by ``int``, with its values and
-messages.  In exponential text each such value is kept when it is a
-positive power of two; in grid text v becomes 2**(v-1) when it is in
-1..64.  Any other value becomes 0.
+keyed by the power; ``generate`` renders its symbols by index.  A token
+the table lacks (``+4``, ``04``, ``1_0``) is read by ``int`` and looked
+up again by its decimal; a value the table lacks becomes 0.
 
 ``validate`` and ``convert`` read text input square by square: each block
 is parsed and decided by ``is_packed_latin`` (n x n, every row and column
@@ -35,6 +32,7 @@ Exit codes
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -48,6 +46,7 @@ from .validator import is_exponential_latin, is_latin, is_packed_latin
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+QUOTE_BYTES = 80  # the most UTF-8 bytes of a refused row that its error line quotes
 
 
 # ---------------------------------------------------------------- formats
@@ -70,15 +69,13 @@ def _parse_text(text: str, exponential: bool):
     to powers of two, and the lines they were read from.
 
     Each token is decoded by the table of its form to the power 2**(v-1)
-    of the symbol v it spells.  A row holding any other token is read by
-    ``int``.  In exponential text each such value is kept when it is a
-    positive power of two; in grid text v becomes 2**(v-1) when it is in
-    1..64.  Any other value becomes 0, so every cell is 0 or a power of
-    two.  A block is yielded once the first line after it is seen, before
-    that line is converted, so ``numbered`` says whether the input holds
-    more than one block.
+    of the symbol v it spells.  A token the table lacks is read by ``int``
+    and looked up again by its decimal; a value the table lacks becomes 0.
+    A block is yielded once the first line after it is seen, before that
+    line is converted, so ``numbered`` says whether the input holds more
+    than one block.
     """
-    lookup = (_EXP_POWER if exponential else _GRID_POWER).__getitem__
+    table = _EXP_POWER if exponential else _GRID_POWER
     rows: list[list[int]] = []
     lines: list[str] = []
     gap = numbered = False
@@ -94,16 +91,15 @@ def _parse_text(text: str, exponential: bool):
         if len(tokens) > MAX_ORDER or len(rows) == MAX_ORDER:
             raise MalformedMatrix(f"input square is larger than {MAX_ORDER} x {MAX_ORDER}")
         try:
-            row = list(map(lookup, tokens))
-        except KeyError:  # some token is not a table entry: int decides
+            row = list(map(table.__getitem__, tokens))
+        except KeyError:  # some token is spelled otherwise: int reads it
             try:
-                row = list(map(int, tokens))
-            except ValueError:
-                raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
-            if exponential:
-                row = [v if v > 0 and not v & (v - 1) else 0 for v in row]
-            else:
-                row = [1 << (v - 1) if 0 < v <= MAX_ORDER else 0 for v in row]
+                row = [table.get(str(int(token)), 0) for token in tokens]
+            except ValueError:  # quote the row, cut short: it may be huge
+                quoted = repr(line.strip()[:QUOTE_BYTES]).encode()
+                if len(quoted) > QUOTE_BYTES:
+                    quoted = quoted[: QUOTE_BYTES - 3] + b"..."
+                raise MalformedMatrix(f"not an integer row: {quoted.decode(errors='ignore')}") from None
         rows.append(row)
         lines.append(line)
     if not rows:
@@ -145,12 +141,10 @@ def _squares(path: str, exp_text: bool):
     Text, exponential when ``exp_text`` says so, is decoded to cells that
     are each 0 or a power of two, and ``is_packed_latin`` decides it from
     its row and column sums.  A failing text square is named from its
-    values as written: by ``is_exponential_latin`` in exponential text,
-    on the decoded rows when no cell decoded to 0 (they are then those
-    values) and on the lines read again by ``int`` otherwise, and by
-    ``is_latin`` on those lines in grid text.  JSON carries typed symbols
-    and is parsed whole; ``is_latin`` decides it, and a passing square is
-    lifted to powers.
+    values as written, by ``is_exponential_latin`` or ``is_latin``: an
+    exponential row with no 0 is those values, and any other row is read
+    again from its line by ``int``.  JSON is typed and parsed whole;
+    ``is_latin`` decides it, and a passing square is lifted to powers.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -171,10 +165,11 @@ def _squares(path: str, exp_text: bool):
         elif is_packed_latin(rows):
             yield rows
             continue
-        elif exp_text and all(map(all, rows)):  # no 0: the values as written
-            verdict = is_exponential_latin(rows)
         else:
-            written = [list(map(int, line.split())) for line in lines]
+            written = [
+                row if exp_text and all(row) else list(map(int, line.split()))
+                for row, line in zip(rows, lines)
+            ]
             verdict = (is_exponential_latin if exp_text else is_latin)(written)
         yield f"square {idx}: {verdict.message}" if numbered else verdict.message
         return
@@ -384,10 +379,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is reported as an error
     except (LatinSqError, OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):  # so that the flush at exit cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

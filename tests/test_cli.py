@@ -140,6 +140,38 @@ def test_generate_deterministic_across_processes():
     assert first.stdout.endswith(b"\n")
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["count", "--order", "5"], ""),
+        (["generate", "--order", "5", "--seed", "1"], ""),
+        (["generate", "--order", "64", "--count", "40", "--seed", "1"], ""),  # fills the pipe
+        (["validate", "-"], "1 2\n2 1\n"),
+    ],
+    ids=["count", "generate", "generate-batch", "validate"],
+)
+def test_closed_stdout_ends_in_one_error_line(argv, stdin):
+    # stdout buffered, as in a shell pipe: the write fails at the final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "latinsq.cli", *argv],
+            input=stdin.encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
 def test_generate_order_too_large(capsys):
     code, _, err = run(capsys, "generate", "--order", "65")
     assert code == 2
@@ -248,6 +280,13 @@ def test_text_tables_spell_each_symbol_in_decimal():
             assert type(power) is int and spell[power] == text
 
 
+def _quoted(row):
+    """A refused row as its error line quotes it: its ``repr``, cut to the
+    first 77 bytes of UTF-8 and ``...`` when it takes more than 80."""
+    quoted = repr(row).encode()
+    return quoted.decode() if len(quoted) <= 80 else quoted[:77].decode(errors="ignore") + "..."
+
+
 def _int_parse_text(text):
     """The whole-file text parser with ``int`` on every token: the
     reference.  Returns blocks of (token, value) rows."""
@@ -260,7 +299,7 @@ def _int_parse_text(text):
             try:
                 current.append([(tok, int(tok)) for tok in tokens])
             except ValueError:
-                raise MalformedMatrix(f"not an integer row: {line.strip()!r}") from None
+                raise MalformedMatrix(f"not an integer row: {_quoted(line.strip())}") from None
         elif current:
             blocks.append(current)
             current = []
@@ -281,13 +320,13 @@ def _outcome(parse, text):
 def _expected_blocks(blocks, exponential):
     """What the lazy parser yields for the reference's blocks, with each
     line given by its tokens: in grid text the power 2**(v-1) of a value v
-    in 1..64; in exponential text a value that is a positive power of two;
-    and 0 for any other value."""
+    in 1..64; in exponential text a value that is a power of two up to
+    2**63; and 0 for any other value."""
 
     def power(v):
         if not exponential:
             return 1 << (v - 1) if 1 <= v <= MAX_ORDER else 0
-        return v if v > 0 and v.bit_count() == 1 else 0
+        return v if 0 < v <= 1 << (MAX_ORDER - 1) and v.bit_count() == 1 else 0
 
     return [
         (
@@ -481,7 +520,7 @@ LATER_BLOCKS = [
     pytest.param("x\n", "not an integer row: 'x'", id="token"),
     pytest.param(
         "9" * 5000 + "\n",
-        f"not an integer row: {'9' * 5000!r}",
+        f"not an integer row: '{'9' * 76}...",
         id="5000-digits",
         marks=pytest.mark.skipif(
             not hasattr(sys, "get_int_max_str_digits"), reason="int reads any number of digits"
@@ -501,6 +540,29 @@ def test_invalid_square_is_reported_before_a_later_malformed_block(argv, later, 
     assert _call(argv, "1 2\n2 2\n\n" + later) == want
     # after a valid square 1 the malformed block is refused as before
     assert _call(argv, "1 2\n2 1\n\n" + later) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "row, quoted",
+    [
+        ("x", "'x'"),
+        ("NaN", "'NaN'"),
+        ("\udcff\udcfe", "'\\udcff\\udcfe'"),
+        ("x" * 78, repr("x" * 78)),  # 80 bytes quoted: kept whole
+        ("x" * 79, "'" + "x" * 76 + "..."),
+        ("x " * 64, "'" + "x " * 38 + "..."),
+        ("\U000e0001" * 500, "'" + "\\U000e0001" * 7 + "\\U000e..."),  # escapes, cut
+        ("\u00e9" * 500, "'" + "\u00e9" * 38 + "..."),  # two bytes each: none cut in two
+        ("\u20ac" * 500, "'" + "\u20ac" * 25 + "..."),  # three bytes each: one cut, dropped
+    ],
+    ids=["x", "NaN", "surrogates", "80-bytes", "81-bytes", "64-tokens", "escapes", "2-byte", "3-byte"],
+)
+def test_refused_row_is_quoted_within_a_short_line(row, quoted):
+    # the row is refused by int; its error line stays under 120 bytes
+    code, out, err = _call(["validate", "-"], row + "\n")
+    assert (code, out, err) == (2, "", f"error: not an integer row: {quoted}\n")
+    assert quoted == _quoted(row)
+    assert len(err.encode()) < 120
 
 
 @pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)
@@ -557,6 +619,13 @@ def test_parse_text_yields_a_block_before_reading_the_next():
             id="power-above-range",
         ),
         pytest.param(
+            "1 18446744073709551616 2\n2 1 4\n4 2 2\n",
+            1,
+            "row 1 column 2 contains 18446744073709551616, not a power of two in 1..4\n",
+            [[[1, 18446744073709551616, 2], [2, 1, 4], [4, 2, 2]]],
+            id="beyond-the-table-and-duplicate",
+        ),
+        pytest.param(
             "1 2\n2 1\n\n1 0\n-1 1\n",
             1,
             "square 2: row 1 column 2 contains 0, not a power of two in 1..2\n",
@@ -573,10 +642,11 @@ def test_parse_text_yields_a_block_before_reading_the_next():
 def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, code, expected, named):
     """The sums decide exponential text, so ``is_exponential_latin`` never
     sees a valid square; it names a failing one once, on its values as
-    written: the decoded rows when no cell decoded to 0 (``+2`` and ``02``
-    are 2), else the lines read again by ``int``.  ``expected`` is the grid
-    of a valid square or the verdict on a failing one, and ``named`` the
-    matrices the naming call saw.  The name is kept from when ``is_latin``
+    written: a row as decoded when no cell of it decoded to 0 (``+2`` and
+    ``02`` are 2), else its line read again by ``int`` (2**64, which the
+    table lacks, decodes to 0).  ``expected`` is the grid of a valid
+    square or the verdict on a failing one, and ``named`` the matrices the
+    naming call saw.  The name is kept from when ``is_latin``
     decided the symbols, so the ids stay stable."""
     calls = []
 
