@@ -36,7 +36,7 @@ import os
 import sys
 import time
 
-from .errors import LatinSqError, MalformedMatrix
+from .errors import QUOTE_BYTES, LatinSqError, MalformedMatrix, _cut
 from .latin_gen import _repair_row, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import COUNT_CAP, count_all
@@ -46,7 +46,6 @@ from .validator import is_exponential_latin, is_latin, is_packed_latin
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-QUOTE_BYTES = 80  # the most UTF-8 bytes of a refused row that its error line quotes
 
 
 # ---------------------------------------------------------------- formats
@@ -95,11 +94,9 @@ def _parse_text(text: str, exponential: bool):
         except KeyError:  # some token is spelled otherwise: int reads it
             try:
                 row = [table.get(str(int(token)), 0) for token in tokens]
-            except ValueError:  # quote the row, cut short: it may be huge
-                quoted = repr(line.strip()[:QUOTE_BYTES]).encode()
-                if len(quoted) > QUOTE_BYTES:
-                    quoted = quoted[: QUOTE_BYTES - 3] + b"..."
-                raise MalformedMatrix(f"not an integer row: {quoted.decode(errors='ignore')}") from None
+            except ValueError:  # the row may be huge: only its start can be quoted
+                quoted = _cut(repr(line.strip()[:QUOTE_BYTES]))
+                raise MalformedMatrix(f"not an integer row: {quoted}") from None
         rows.append(row)
         lines.append(line)
     if not rows:
@@ -375,11 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has already printed its message
-        return exc.code
-    try:
-        code = args.func(args)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has already printed its message or the help
+            code = exc.code
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # here, so that a closed pipe is reported as an error
     except (LatinSqError, OSError, ValueError) as exc:
         if isinstance(exc, BrokenPipeError):  # so that the flush at exit cannot fail too

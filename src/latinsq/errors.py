@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cut that keeps a
+value quoted in an error line short."""
+
+QUOTE_BYTES = 80  # the most UTF-8 bytes of a value that an error line quotes
+
+
+def _cut(text: str) -> str:
+    """``text`` as an error line quotes it: whole when its UTF-8 takes at
+    most QUOTE_BYTES, else its first QUOTE_BYTES - 3 bytes and ``...``; a
+    character cut in two is dropped."""
+    data = text.encode()
+    if len(data) <= QUOTE_BYTES:
+        return text
+    return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
 
 
 class LatinSqError(Exception):

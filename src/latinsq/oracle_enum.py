@@ -21,7 +21,8 @@ def enumerate_all(n: int) -> list[LatinSquare]:
     """All Latin squares of order n, in lexicographic row-major order, for
     n in 1..ENUMERATION_CAP."""
     check_order(n, ENUMERATION_CAP)
-    return [LatinSquare(grid) for grid in _completions([[0] * n for _ in range(n)])]
+    grids = _completions([[0] * n for _ in range(n)])
+    return [LatinSquare._trusted(tuple(map(tuple, grid))) for grid in grids]
 
 
 def count_all(n: int) -> int:

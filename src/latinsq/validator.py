@@ -5,35 +5,26 @@ Both checks run on plain sequences of rows, so unparsed or hand-built
 input can be screened before it is wrapped in the square type.  Square
 and verdict are immutable named tuples; a verdict is truthy when ``ok`` is.
 
-An exponential row is checked as one packed word.  Its cells are
-one-bit symbol sets, so the row is a permutation of the powers
-2**0 .. 2**(n-1) exactly when no cell is 0 and both the union and the
-sum of its cells equal the universe 2**n - 1:
+A square whose every cell is 0 or a power of two is the exponential
+form of a Latin square exactly when it is n x n and every row and every
+column sums to 2**n - 1 (``is_packed_latin``).  A sum of m powers of two
+has at most m one bits, and exactly m only when no two are equal, since
+equal powers carry; 2**n - 1 has n one bits, and a 0 adds none, so the n
+cells of a line are n distinct powers below 2**n, which are
+2**0 .. 2**(n-1).
 
-* the union equals the universe, so no cell is negative and no cell has
-  a bit outside the universe;
-* the sum equals the union, so the cells are pairwise disjoint;
-* n nonzero pairwise disjoint subsets of an n-bit universe are its n
-  singletons.
+``is_exponential_latin`` takes any ints, so it adds one screen per row:
+no cell is 0 and the union of the cells equals the universe 2**n - 1.
+The union admits no negative cell and no bit outside the universe; a sum
+equal to the union leaves the cells pairwise disjoint; and n nonzero
+pairwise disjoint subsets of an n-bit universe are its n singletons.  So
+every cell is a power, and the sums decide.  The sums run first: they
+stop at the first line that fails.
 
-Once every row passes, every cell is a single power, and a column of n
-powers sums to 2**n - 1 only when no two are equal (two equal powers
-carry, which leaves fewer than n one bits in the sum).
-
-That packed test decides.  When it fails, the failure is named by the
-first cell that is not such a power or, when every cell is one, by
-``is_latin`` on the symbol form: a row or column of powers passes the
-packed test exactly when its symbols are a permutation, so both forms
-fail first at the same row or column.
-
-When every cell is already known to be 0 or a power of two, as for text
-the CLI decodes, the sums alone decide (``is_packed_latin``): n such cells
-sum to 2**n - 1 only when they are 2**0 .. 2**(n-1) once each.  A sum of
-m powers of two has at most m one bits, and exactly m only when no two
-are equal, since equal powers carry; 2**n - 1 has n one bits, so the n
-cells are n distinct powers below 2**n, which are those n.  So a square
-of such cells is Latin in exponential form exactly when it is n x n and
-every row and every column sums to 2**n - 1.
+When the check fails, the failure is named by the first cell that is not
+such a power or, when every cell is one, by ``is_latin`` on the symbol
+form: a row or column of powers sums to 2**n - 1 exactly when its symbols
+are a permutation, so both forms fail first at the same row or column.
 """
 
 from collections import namedtuple
@@ -41,7 +32,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple, Sequence
 
-from .errors import MalformedMatrix
+from .errors import MalformedMatrix, _cut
 from .mask_set import MAX_ORDER, check_order
 
 Matrix = Sequence[Sequence[int]]
@@ -74,7 +65,7 @@ def _square_order(matrix: Matrix) -> int:
             )
         if set(map(type, row)) != _INT_ONLY:
             v = next(v for v in row if type(v) is not int)
-            raise MalformedMatrix(f"row {i} holds a non-integer entry {v!r}")
+            raise MalformedMatrix(f"row {i} holds a non-integer entry {_cut(repr(v))}")
     check_order(n)
     return n
 
@@ -85,7 +76,7 @@ def _first_offender(line: str, symbols, n: int) -> ValidationResult:
     seen = set()
     for v in symbols:
         if not 1 <= v <= n:
-            return ValidationResult(False, f"{line} contains {v}, outside 1..{n}")
+            return ValidationResult(False, f"{line} contains {_cut(str(v))}, outside 1..{n}")
         if v in seen:
             return ValidationResult(False, f"{line} duplicates {v}")
         seen.add(v)
@@ -123,15 +114,15 @@ def is_exponential_latin(matrix: Matrix) -> ValidationResult:
     """
     n = _square_order(matrix)
     full = (1 << n) - 1
-    rows_ok = all(sum(row) == full and reduce(or_, row) == full and 0 not in row for row in matrix)
-    if rows_ok and all(sum(col) == full for col in zip(*matrix)):
+    if is_packed_latin(matrix) and all(reduce(or_, row) == full and 0 not in row for row in matrix):
         return _VALID
     top = 1 << (n - 1)
     for i, row in enumerate(matrix, start=1):
         for j, v in enumerate(row, start=1):
             if v < 1 or v > top or v & (v - 1):
+                quoted = _cut(str(v))
                 return ValidationResult(
-                    False, f"row {i} column {j} contains {v}, not a power of two in 1..{top}"
+                    False, f"row {i} column {j} contains {quoted}, not a power of two in 1..{top}"
                 )
     # every cell is a power, so each form fails first at the same row or column
     return _latin_verdict([tuple(map(int.bit_length, row)) for row in matrix], n)

@@ -1,5 +1,5 @@
-"""Shared fixtures: a known-good order-12 exponential square, and a
-scripted random source."""
+"""Shared fixtures: a known-good order-12 exponential square, a scripted
+random source, and the cut of a value quoted in an error line."""
 
 import pytest
 
@@ -21,6 +21,14 @@ ORDER12_EXP = (
 
 # Its first row in standard symbols (log2 + 1 of the row above).
 ORDER12_STD_ROW1 = (6, 1, 5, 4, 10, 9, 12, 8, 2, 11, 3, 7)
+
+
+def cut(text: str) -> str:
+    """A value as an error line quotes it: whole when its UTF-8 takes at
+    most 80 bytes, else its first 77 bytes and ``...``, less a character
+    cut in two."""
+    data = text.encode()
+    return text if len(data) <= 80 else data[:77].decode(errors="ignore") + "..."
 
 
 def render_rows(rows) -> str:

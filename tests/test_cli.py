@@ -24,7 +24,7 @@ from latinsq.latin_gen import generate
 from latinsq.mask_set import MAX_ORDER
 from latinsq.rng_choice import RandomSource
 
-from conftest import ORDER12_STD_ROW1, render_rows
+from conftest import ORDER12_STD_ROW1, cut, render_rows
 
 
 def run(capsys, *argv):
@@ -147,8 +147,9 @@ def test_generate_deterministic_across_processes():
         (["generate", "--order", "5", "--seed", "1"], ""),
         (["generate", "--order", "64", "--count", "40", "--seed", "1"], ""),  # fills the pipe
         (["validate", "-"], "1 2\n2 1\n"),
+        (["--help"], ""),  # argparse prints the help and exits before any command runs
     ],
-    ids=["count", "generate", "generate-batch", "validate"],
+    ids=["count", "generate", "generate-batch", "validate", "help"],
 )
 def test_closed_stdout_ends_in_one_error_line(argv, stdin):
     # stdout buffered, as in a shell pipe: the write fails at the final flush
@@ -280,13 +281,6 @@ def test_text_tables_spell_each_symbol_in_decimal():
             assert type(power) is int and spell[power] == text
 
 
-def _quoted(row):
-    """A refused row as its error line quotes it: its ``repr``, cut to the
-    first 77 bytes of UTF-8 and ``...`` when it takes more than 80."""
-    quoted = repr(row).encode()
-    return quoted.decode() if len(quoted) <= 80 else quoted[:77].decode(errors="ignore") + "..."
-
-
 def _int_parse_text(text):
     """The whole-file text parser with ``int`` on every token: the
     reference.  Returns blocks of (token, value) rows."""
@@ -299,7 +293,7 @@ def _int_parse_text(text):
             try:
                 current.append([(tok, int(tok)) for tok in tokens])
             except ValueError:
-                raise MalformedMatrix(f"not an integer row: {_quoted(line.strip())}") from None
+                raise MalformedMatrix(f"not an integer row: {cut(repr(line.strip()))}") from None
         elif current:
             blocks.append(current)
             current = []
@@ -561,8 +555,48 @@ def test_refused_row_is_quoted_within_a_short_line(row, quoted):
     # the row is refused by int; its error line stays under 120 bytes
     code, out, err = _call(["validate", "-"], row + "\n")
     assert (code, out, err) == (2, "", f"error: not an integer row: {quoted}\n")
-    assert quoted == _quoted(row)
+    assert quoted == cut(repr(row))
     assert len(err.encode()) < 120
+
+
+NINES = "9" * 4000  # int reads it; it is no symbol and no power of two
+CUT_NINES = "9" * 77 + "..."
+LONG_VALUES = [
+    pytest.param(f"1 {NINES}\n2 1\n", 1, f"row 1 contains {CUT_NINES}, outside 1..2", id="text"),
+    pytest.param(
+        json.dumps({"order": 2, "cells": [[1, int(NINES)], [2, 1]]}),
+        1,
+        f"row 1 contains {CUT_NINES}, outside 1..2",
+        id="json-int",
+    ),
+    pytest.param(
+        json.dumps({"order": 2, "cells": [[1, "x" * 5000], [2, 1]]}),
+        2,
+        "row 1 holds a non-integer entry '" + "x" * 76 + "...",
+        id="json-string",
+    ),
+    pytest.param(
+        json.dumps({"order": 2, "cells": [[1, list(range(3000))], [2, 1]]}),
+        2,
+        "row 1 holds a non-integer entry " + cut(repr(list(range(3000)))),
+        id="json-list",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)
+@pytest.mark.parametrize("text, code, message", LONG_VALUES)
+def test_long_values_are_quoted_within_a_short_line(argv, text, code, message):
+    if argv[-1] in ("--exp", "grid") and not text.startswith("{"):  # exponential text
+        message = f"row 1 column 2 contains {CUT_NINES}, not a power of two in 1..2"
+    if code == 2:
+        want = (2, "", f"error: {message}\n")
+    elif argv[0] == "validate":
+        want = (1, f"{message}\n", "")
+    else:
+        want = (1, "", f"{message}\n")
+    assert _call(argv, text) == want
+    assert len("".join(want[1:]).encode()) < 200
 
 
 @pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)

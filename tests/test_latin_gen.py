@@ -171,3 +171,6 @@ def test_square_types_validate_on_construction():
         LatinSquare.from_exponential([[1, 3], [3, 1]])
     with pytest.raises(ValueError):
         LatinSquare.from_exponential([[1, 2], [1, 2]])  # powers of two, column repeats
+    for rows in ([[3, 0], [0, 3]], [[5, -2], [-2, 5]], [[1, 6, 0], [6, 0, 1], [0, 1, 6]]):
+        with pytest.raises(ValueError, match="not a power of two"):  # rows sum to 2**n - 1
+            LatinSquare.from_exponential(rows)

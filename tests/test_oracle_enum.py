@@ -54,7 +54,14 @@ def cycle_type(row):
 
 
 @pytest.mark.parametrize("n, expected", sorted(KNOWN_COUNTS.items()))
-def test_enumerate_sizes(n, expected):
+def test_enumerate_sizes(monkeypatch, n, expected):
+    import latinsq.validator as validator
+
+    def refuse(matrix):
+        raise AssertionError("an enumerated square is checked again")
+
+    # the search builds only Latin squares, so none goes through is_latin
+    monkeypatch.setattr(validator, "is_latin", refuse)
     assert len(enumerate_all(n)) == expected
 
 
