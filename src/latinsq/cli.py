@@ -9,8 +9,9 @@ Text output is newline-terminated ASCII; multiple squares are separated
 by one blank line.  Both text forms hold at most 64 distinct values, so
 they go through fixed decimal tables built at import.  Each form is
 decoded through the table from its text to the power 2**(v-1) of the
-symbol v it spells, and ``convert`` renders those powers through tables
-keyed by the power; ``generate`` renders its symbols by index.  A token
+symbol v it spells, and rendered through its tuple indexed by v:
+``generate`` indexes it by symbol, ``convert`` by the ``bit_length`` of
+each power, which is v.  A token
 the table lacks (``+4``, ``04``, ``1_0``) is read by ``int`` and looked
 up again by its decimal; a value the table lacks becomes 0.
 
@@ -57,9 +58,6 @@ _EXP_TEXT = ("",) + tuple(str(1 << (v - 1)) for v in range(1, MAX_ORDER + 1))
 # decimal text -> the power 2**(v-1) of the symbol v it spells in that form
 _GRID_POWER = {text: 1 << (v - 1) for v, text in enumerate(_GRID_TEXT) if v}
 _EXP_POWER = {text: 1 << (v - 1) for v, text in enumerate(_EXP_TEXT) if v}
-# and back: the power of symbol v -> the decimal text of v in each form
-_POWER_GRID_TEXT = {power: text for text, power in _GRID_POWER.items()}
-_POWER_EXP_TEXT = {power: text for text, power in _EXP_POWER.items()}
 
 
 def _parse_text(text: str, exponential: bool):
@@ -173,9 +171,8 @@ def _squares(path: str, exp_text: bool):
 
 
 def _render_text(cells, names) -> str:
-    """Rows of cells as text, each cell spelled by ``names``: symbols by
-    ``_GRID_TEXT`` or ``_EXP_TEXT``, powers by ``_POWER_GRID_TEXT`` or
-    ``_POWER_EXP_TEXT``."""
+    """Rows of symbols as text, each spelled by ``names``, ``_GRID_TEXT``
+    or ``_EXP_TEXT``."""
     return "".join(" ".join(map(names.__getitem__, row)) + "\n" for row in cells)
 
 
@@ -220,13 +217,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     # text input is taken to be in the form opposite the target
-    names = _POWER_EXP_TEXT if args.to == "exp" else _POWER_GRID_TEXT
+    names = _EXP_TEXT if args.to == "exp" else _GRID_TEXT
     blocks = []
     for rows in _squares(args.file, args.to == "grid"):
         if isinstance(rows, str):  # the message names the first violation
             print(rows, file=sys.stderr)
             return EXIT_INVALID
-        blocks.append(_render_text(rows, names))
+        # the power 2**(v-1) of symbol v has bit length v
+        lines = (" ".join([names[p.bit_length()] for p in row]) + "\n" for row in rows)
+        blocks.append("".join(lines))
     sys.stdout.write("\n".join(blocks))
     return EXIT_OK
 
@@ -312,6 +311,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _quoting(kind):
+    """``kind`` as an argparse type that refuses a value in argparse's own
+    words, ``invalid <kind> value: '...'``, with the value cut to fit."""
+
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            quoted = _cut(repr(text))
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quoted}") from None
+
+    return read
+
+
+_INT = _quoting(int)
+_POSITIVE_INT = _quoting(_positive_int)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, without the usage text."""
 
@@ -331,13 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate random squares")
-    gen.add_argument("--order", "-n", type=int, required=True, help=f"square order, 1..{MAX_ORDER}")
+    gen.add_argument("--order", "-n", type=_INT, required=True, help=f"square order, 1..{MAX_ORDER}")
     gen.add_argument(
         "--seed",
-        type=int,
+        type=_INT,
         help="unsigned 64-bit seed; drawn from OS entropy and echoed to stderr when omitted",
     )
-    gen.add_argument("--count", type=_positive_int, default=1, help="squares to emit (default 1)")
+    gen.add_argument("--count", type=_POSITIVE_INT, default=1, help="squares to emit (default 1)")
     gen.add_argument(
         "--format", choices=("grid", "exp", "json"), default="grid", help="output form (default grid)"
     )
@@ -356,15 +373,15 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(func=_cmd_convert)
 
     cnt = sub.add_parser("count", help="exact number of Latin squares of an order")
-    cnt.add_argument("--order", "-n", type=int, required=True, help=f"order, 1..{COUNT_CAP}")
+    cnt.add_argument("--order", "-n", type=_INT, required=True, help=f"order, 1..{COUNT_CAP}")
     cnt.set_defaults(func=_cmd_count)
 
     bench = sub.add_parser("bench", help="time bitmask against boolean-array generation")
-    bench.add_argument("--order", "-n", type=int, required=True, help=f"square order, 1..{MAX_ORDER}")
+    bench.add_argument("--order", "-n", type=_INT, required=True, help=f"square order, 1..{MAX_ORDER}")
     bench.add_argument(
-        "--iterations", type=_positive_int, default=10, help="squares per implementation (default 10)"
+        "--iterations", type=_POSITIVE_INT, default=10, help="squares per implementation (default 10)"
     )
-    bench.add_argument("--seed", type=int, help="base seed (entropy when omitted)")
+    bench.add_argument("--seed", type=_INT, help="base seed (entropy when omitted)")
     bench.set_defaults(func=_cmd_bench)
 
     return parser

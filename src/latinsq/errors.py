@@ -2,6 +2,7 @@
 value quoted in an error line short."""
 
 QUOTE_BYTES = 80  # the most UTF-8 bytes of a value that an error line quotes
+_LOG10_2 = 0.30102999566398120
 
 
 def _cut(text: str) -> str:
@@ -12,6 +13,26 @@ def _cut(text: str) -> str:
     if len(data) <= QUOTE_BYTES:
         return text
     return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
+
+
+def _quote(value, spell=str) -> str:
+    """``_cut(spell(value))``, the way an error line quotes a caller's
+    value.  An int is spelled in decimal from its leading digits alone,
+    taken by integer division by a power of ten, so one of any size is
+    quoted (``str`` refuses an int of over 4,300 digits)."""
+    if type(value) is not int:  # a bool or an int subclass spells itself
+        return _cut(spell(value))
+    sign = "-" if value < 0 else ""
+    magnitude = abs(value)
+    if magnitude < 10 ** (QUOTE_BYTES - len(sign)):  # at most QUOTE_BYTES: whole
+        return str(value)
+    keep = QUOTE_BYTES - 3 - len(sign)  # the digits the cut keeps
+    # magnitude >= 2**(bits-1) has more than (bits-1) * log10(2) digits, so
+    # the division leaves at least keep digits and at most two more
+    lead = magnitude // 10 ** (int((magnitude.bit_length() - 1) * _LOG10_2) - keep)
+    while lead >= 10**keep:
+        lead //= 10
+    return f"{sign}{lead}..."
 
 
 class LatinSqError(Exception):

@@ -15,7 +15,7 @@ both fields however it is built, ``_replace`` included.
 from collections import namedtuple
 from typing import Iterable
 
-from .errors import NotASubset, OrderMismatch, OrderTooLarge, SymbolOutOfRange
+from .errors import NotASubset, OrderMismatch, OrderTooLarge, SymbolOutOfRange, _quote
 
 MAX_ORDER = 64
 
@@ -24,13 +24,13 @@ def check_order(n: int, top: int = MAX_ORDER) -> int:
     """Validate a square order against the range 1..top that a call
     supports, returning it unchanged."""
     if type(n) is not int or not 1 <= n <= top:  # a bool or float is no order
-        raise OrderTooLarge(f"order must be in 1..{top}, got {n}")
+        raise OrderTooLarge(f"order must be in 1..{top}, got {_quote(n)}")
     return n
 
 
 def _check_symbol(a: int, n: int) -> int:
     if type(a) is not int or not 1 <= a <= n:  # a bool or float is no symbol
-        raise SymbolOutOfRange(f"symbol {a} outside 1..{n}")
+        raise SymbolOutOfRange(f"symbol {_quote(a)} outside 1..{n}")
     return a
 
 
@@ -42,7 +42,7 @@ class SubsetMask(namedtuple("SubsetMask", "bits order")):
     def __new__(cls, bits: int, order: int):
         check_order(order)
         if type(bits) is not int or not 0 <= bits < (1 << order):  # a bool or float is no mask
-            raise ValueError(f"bits must be in 0..2**{order}-1, got {bits!r}")
+            raise ValueError(f"bits must be in 0..2**{order}-1, got {_quote(bits, repr)}")
         return super().__new__(cls, bits, order)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too

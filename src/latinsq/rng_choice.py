@@ -2,7 +2,7 @@
 
 import random
 
-from .errors import ChoiceImpossible, InvalidBound
+from .errors import ChoiceImpossible, InvalidBound, _quote
 from .mask_set import SubsetMask
 
 _WORD64 = (1 << 64) - 1
@@ -21,7 +21,7 @@ class RandomSource:
         if seed is None:
             seed = random.SystemRandom().getrandbits(64)
         if type(seed) is not int or not 0 <= seed <= _WORD64:  # a bool or float is no seed
-            raise ValueError(f"seed must be an unsigned 64-bit value, got {seed!r}")
+            raise ValueError(f"seed must be an unsigned 64-bit value, got {_quote(seed, repr)}")
         self.seed = seed
         self._rng = random.Random(seed)
 
@@ -34,7 +34,7 @@ class RandomSource:
         if bound < 2:  # one test on the hot path; bound 1 draws nothing
             if bound == 1:
                 return 0
-            raise InvalidBound(f"bound must be >= 1, got {bound}")
+            raise InvalidBound(f"bound must be >= 1, got {_quote(bound)}")
         width = (bound - 1).bit_length()
         while True:
             value = self._rng.getrandbits(width)

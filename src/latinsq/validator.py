@@ -32,7 +32,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple, Sequence
 
-from .errors import MalformedMatrix, _cut
+from .errors import MalformedMatrix, _quote
 from .mask_set import MAX_ORDER, check_order
 
 Matrix = Sequence[Sequence[int]]
@@ -65,7 +65,7 @@ def _square_order(matrix: Matrix) -> int:
             )
         if set(map(type, row)) != _INT_ONLY:
             v = next(v for v in row if type(v) is not int)
-            raise MalformedMatrix(f"row {i} holds a non-integer entry {_cut(repr(v))}")
+            raise MalformedMatrix(f"row {i} holds a non-integer entry {_quote(v, repr)}")
     check_order(n)
     return n
 
@@ -76,7 +76,7 @@ def _first_offender(line: str, symbols, n: int) -> ValidationResult:
     seen = set()
     for v in symbols:
         if not 1 <= v <= n:
-            return ValidationResult(False, f"{line} contains {_cut(str(v))}, outside 1..{n}")
+            return ValidationResult(False, f"{line} contains {_quote(v)}, outside 1..{n}")
         if v in seen:
             return ValidationResult(False, f"{line} duplicates {v}")
         seen.add(v)
@@ -120,9 +120,8 @@ def is_exponential_latin(matrix: Matrix) -> ValidationResult:
     for i, row in enumerate(matrix, start=1):
         for j, v in enumerate(row, start=1):
             if v < 1 or v > top or v & (v - 1):
-                quoted = _cut(str(v))
                 return ValidationResult(
-                    False, f"row {i} column {j} contains {quoted}, not a power of two in 1..{top}"
+                    False, f"row {i} column {j} contains {_quote(v)}, not a power of two in 1..{top}"
                 )
     # every cell is a power, so each form fails first at the same row or column
     return _latin_verdict([tuple(map(int.bit_length, row)) for row in matrix], n)

@@ -268,17 +268,24 @@ def test_text_tables_spell_each_symbol_in_decimal():
         assert cli._GRID_TEXT[v] == str(v)
         assert cli._EXP_TEXT[v] == str(1 << (v - 1))
     # each form decodes the text of symbol v to the power 2**(v-1), and
-    # renders that power back to the same text
-    for names, powers, spell in (
-        (cli._GRID_TEXT, cli._GRID_POWER, cli._POWER_GRID_TEXT),
-        (cli._EXP_TEXT, cli._EXP_POWER, cli._POWER_EXP_TEXT),
-    ):
-        assert len(powers) == len(spell) == MAX_ORDER
+    # the bit length of that power, v, indexes the same text back
+    for names, powers in ((cli._GRID_TEXT, cli._GRID_POWER), (cli._EXP_TEXT, cli._EXP_POWER)):
+        assert len(powers) == MAX_ORDER
         for v in range(1, MAX_ORDER + 1):
             assert powers[names[v]] == 1 << (v - 1)
-            assert spell[1 << (v - 1)] == names[v]
         for text, power in powers.items():
-            assert type(power) is int and spell[power] == text
+            assert type(power) is int and names[power.bit_length()] == text
+    # symbols 62-64: their powers 2**61 .. 2**63 hash to 1, 2 and 4, as
+    # the powers of symbols 1-3 do
+    for grid, exp in (
+        ("62", "2305843009213693952"),
+        ("63", "4611686018427387904"),
+        ("64", "9223372036854775808"),
+    ):
+        power = int(exp)
+        assert cli._GRID_POWER[grid] == cli._EXP_POWER[exp] == power
+        assert cli._GRID_TEXT[power.bit_length()] == grid
+        assert cli._EXP_TEXT[power.bit_length()] == exp
 
 
 def _int_parse_text(text):
@@ -582,6 +589,72 @@ LONG_VALUES = [
         id="json-list",
     ),
 ]
+
+
+CUT_X_NINES = cut(repr("x" + NINES))  # argparse quotes a refused value by repr
+SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--order", NINES], f"order must be in 1..64, got {CUT_NINES}"),
+        (["bench", "--order", NINES], f"order must be in 1..64, got {CUT_NINES}"),
+        (["count", "--order", NINES], f"order must be in 1..7, got {CUT_NINES}"),
+        (["generate", "--order", "5", "--seed", NINES], SEED_MESSAGE),
+        (["bench", "--order", "5", "--seed", NINES], SEED_MESSAGE),
+        (
+            ["generate", "--order", "x" + NINES],
+            f"latinsq generate: argument --order/-n: invalid int value: {CUT_X_NINES}",
+        ),
+        (
+            ["bench", "--order", "x" + NINES],
+            f"latinsq bench: argument --order/-n: invalid int value: {CUT_X_NINES}",
+        ),
+        (
+            ["generate", "--order", "5", "--count", "x" + NINES],
+            f"latinsq generate: argument --count: invalid _positive_int value: {CUT_X_NINES}",
+        ),
+        (
+            ["bench", "--order", "5", "--iterations", "9" * 5000],  # more digits than int reads
+            "latinsq bench: argument --iterations: invalid _positive_int value: "
+            + cut(repr("9" * 5000)),
+        ),
+        # values of at most 80 bytes read as argparse words them
+        (["generate", "--order", "x"], "latinsq generate: argument --order/-n: invalid int value: 'x'"),
+        (
+            ["count", "--order", "x" * 78],
+            f"latinsq count: argument --order/-n: invalid int value: '{'x' * 78}'",
+        ),
+        (
+            ["generate", "--order", "5", "--count", "x"],
+            "latinsq generate: argument --count: invalid _positive_int value: 'x'",
+        ),
+        (
+            ["bench", "--order", "5", "--iterations", "0"],
+            "latinsq bench: argument --iterations: must be a positive integer",
+        ),
+    ],
+    ids=[
+        "generate-order",
+        "bench-order",
+        "count-order",
+        "generate-seed",
+        "bench-seed",
+        "generate-not-an-int",
+        "bench-not-an-int",
+        "count",
+        "iterations",
+        "short-order",
+        "80-byte-order",
+        "short-count",
+        "iterations-0",
+    ],
+)
+def test_command_line_values_are_quoted_within_a_short_line(capsys, argv, message):
+    err = f"error: {message}\n"
+    assert run(capsys, *argv) == (2, "", err)
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv", READ_ARGVS, ids=READ_IDS)

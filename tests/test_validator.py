@@ -2,14 +2,22 @@
 the square type that keeps what they checked."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latinsq.errors import LatinSqError, MalformedMatrix, OrderTooLarge
+from latinsq import errors
+from latinsq.errors import (
+    InvalidBound,
+    LatinSqError,
+    MalformedMatrix,
+    OrderTooLarge,
+    SymbolOutOfRange,
+)
 from latinsq.latin_gen import generate
-from latinsq.mask_set import check_order
+from latinsq.mask_set import SubsetMask, check_order, singleton
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
 from latinsq.validator import (
@@ -386,3 +394,65 @@ def test_square_constructor_still_validates():
         LatinSquare([[1, 2], [1, 2]])
     with pytest.raises(MalformedMatrix, match="row 2 has 1 entries"):
         LatinSquare([[1, 2], [2]])
+
+
+# ---------------------------------------------------------------- huge ints
+
+BIG = 2**20000  # 6,021 digits: str refuses it under the default digit limit
+
+
+def _cut_decimal(value: int) -> str:
+    """``cut(str(value))`` with no digit limit, the reference for a quote."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return cut(str(value))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_a_quoted_int_is_its_decimal_cut():
+    rng = random.Random(3)
+    values = [0, BIG, -BIG, 10**4000 - 1, 10**5000]
+    values += [10**k + d for k in range(76, 84) for d in (-1, 0, 1)]
+    values += [(1 << k) + d for k in range(250, 280) for d in (-1, 0)]
+    values += [rng.getrandbits(rng.randrange(1, 40000)) for _ in range(200)]
+    for value in values + [-v for v in values]:
+        assert errors._quote(value) == errors._quote(value, repr) == _cut_decimal(value)
+
+
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (lambda v: is_latin([[v]]), BIG, "row 1 contains {}, outside 1..1"),
+        (lambda v: is_latin([[1, v], [2, 1]]), -BIG, "row 1 contains {}, outside 1..2"),
+        (
+            lambda v: is_exponential_latin([[v]]),
+            BIG,
+            "row 1 column 1 contains {}, not a power of two in 1..1",
+        ),
+    ],
+    ids=["is_latin", "is_latin-negative", "is_exponential_latin"],
+)
+def test_a_huge_cell_gets_a_verdict(check, value, message):
+    assert check(value) == ValidationResult(False, message.format(_cut_decimal(value)))
+
+
+@pytest.mark.parametrize(
+    "call, value, kind, message",
+    [
+        (check_order, BIG, OrderTooLarge, "order must be in 1..64, got {}"),
+        (lambda v: singleton(v, 3), BIG, SymbolOutOfRange, "symbol {} outside 1..3"),
+        (lambda v: SubsetMask(v, 3), BIG, ValueError, "bits must be in 0..2**3-1, got {}"),
+        (RandomSource, BIG, ValueError, "seed must be an unsigned 64-bit value, got {}"),
+        (RandomSource(1).next_below, -BIG, InvalidBound, "bound must be >= 1, got {}"),
+    ],
+    ids=["check_order", "singleton", "SubsetMask", "RandomSource", "next_below"],
+)
+def test_a_huge_argument_is_refused_by_its_own_error(call, value, kind, message):
+    with pytest.raises(Exception) as info:
+        call(value)
+    assert type(info.value) is kind
+    assert str(info.value) == message.format(_cut_decimal(value))
