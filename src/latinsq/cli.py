@@ -173,7 +173,7 @@ def _squares(path: str, exp_text: bool):
 def _render_text(cells, names) -> str:
     """Rows of symbols as text, each spelled by ``names``, ``_GRID_TEXT``
     or ``_EXP_TEXT``."""
-    return "".join(" ".join(map(names.__getitem__, row)) + "\n" for row in cells)
+    return "".join(" ".join([names[v] for v in row]) + "\n" for row in cells)
 
 
 # ---------------------------------------------------------------- commands

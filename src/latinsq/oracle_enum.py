@@ -1,11 +1,13 @@
 """Brute-force enumeration and counting of Latin squares of small order.
 
 Ground truth for counting and reachability tests, kept deliberately
-independent of the random generator: one plain depth-first search that
-completes a partly filled grid cell by cell in row-major order, trying
-symbols in ascending order, with packed-set pruning but none of the
-generator's machinery. Counting runs that search once per cycle type of
-the second row.
+independent of the random generator: one plain recursive depth-first
+search that completes a partly filled grid cell by cell in row-major
+order, trying symbols in ascending order, with packed-set pruning but none
+of the generator's machinery. It searches rows 1..n-1 only: once they are
+permutations, each column lacks exactly one symbol and those symbols form
+the last row, so every cell of the last row is forced. Counting runs that
+search once per cycle type of the second row.
 """
 
 from math import factorial, prod
@@ -21,8 +23,12 @@ def enumerate_all(n: int) -> list[LatinSquare]:
     """All Latin squares of order n, in lexicographic row-major order, for
     n in 1..ENUMERATION_CAP."""
     check_order(n, ENUMERATION_CAP)
-    grids = _completions([[0] * n for _ in range(n)])
-    return [LatinSquare._trusted(tuple(map(tuple, grid))) for grid in grids]
+    squares = []
+    _completions(
+        [[0] * n for _ in range(n)],
+        lambda grid: squares.append(LatinSquare._trusted(tuple(map(tuple, grid)))),
+    )
+    return squares
 
 
 def count_all(n: int) -> int:
@@ -40,13 +46,23 @@ def count_all(n: int) -> int:
     c to column τ(c) keeps row 1 the identity and turns row 2 into τστ⁻¹,
     so the count for one σ of each type stands for its whole class.
     """
-    check_order(n, COUNT_CAP)
+    weights = cycle_type_law(n)
     if n == 1:  # no derangement of one symbol
         return 1
-    total = sum(
-        _class_size(parts) * _extensions(_cycle_row(parts)) for parts in _derangement_types(n)
-    )
-    return factorial(n) * factorial(n - 2) * total
+    return factorial(n) * factorial(n - 2) * sum(weights.values())
+
+
+def cycle_type_law(n: int) -> dict[tuple[int, ...], int]:
+    """The weight |C_λ| E'(λ) of each derangement type λ of order n, for n
+    in 1..COUNT_CAP, as ``count_all`` explains: the squares whose
+    permutation from row 1 to row 2 has cycle type λ number n! (n-2)! times
+    its weight. The same holds for any two rows, since permuting rows keeps
+    a square Latin, so in a uniform square the type between two rows has
+    probability proportional to its weight. Order 1 has no types.
+    """
+    check_order(n, COUNT_CAP)
+    types = _derangement_types(n)
+    return {parts: _class_size(parts) * _extensions(_cycle_row(parts)) for parts in types}
 
 
 def _derangement_types(n: int, smallest: int = 2):
@@ -84,14 +100,23 @@ def _extensions(second: list[int]) -> int:
     n = len(second)
     below = [s for s in range(2, n + 1) if s != second[0]]
     grid = [list(range(1, n + 1)), list(second)] + [[s] + [0] * (n - 1) for s in below]
-    return sum(1 for _ in _completions(grid))
+    return _completions(grid)
 
 
-def _completions(grid: list[list[int]]):
-    """Yield ``grid`` each time its zero cells have been filled so that no
-    row or column repeats a symbol; the nonzero cells stay fixed.
+def _completions(grid: list[list[int]], visit=None) -> int:
+    """Count the ways to fill the zero cells of ``grid`` so that no row or
+    column repeats a symbol, calling ``visit(grid)`` on each completed grid
+    in lexicographic row-major order; the nonzero cells stay fixed, and
+    must not repeat a symbol in a row or column themselves.
 
-    The grid is filled in place, so copy a yielded grid to keep it.
+    Only rows 1..n-1 are searched. Once each of them is a permutation,
+    every symbol is missing from exactly one column, and a symbol kept in
+    the last row is missing only from its own column, since the search
+    keeps it out of that column. So each zero cell of the last row takes
+    the one symbol its column lacks, and the last row is a permutation:
+    every fill of rows 1..n-1 completes, exactly once.
+
+    The grid is filled in place, so copy a visited grid to keep it.
     """
     n = len(grid)
     full = (1 << n) - 1
@@ -102,22 +127,29 @@ def _completions(grid: list[list[int]]):
             if v:
                 row_used[i] |= 1 << (v - 1)
                 col_used[j] |= 1 << (v - 1)
-    empty = [(i, j) for i in range(n) for j in range(n) if not grid[i][j]]
+    empty = [(grid[i], i, j) for i in range(n - 1) for j in range(n) if not grid[i][j]]
+    last = grid[-1]
+    forced = [j for j in range(n) if not last[j]]
 
-    def fill(k: int):
+    def fill(k: int) -> int:
         if k == len(empty):
-            yield grid
-            return
-        i, j = empty[k]
+            for j in forced:
+                last[j] = (full ^ col_used[j]).bit_length()
+            if visit is not None:
+                visit(grid)
+            return 1
+        row, i, j = empty[k]
+        found = 0
         avail = full ^ (row_used[i] | col_used[j])
         while avail:
             bit = avail & -avail
             avail ^= bit
-            grid[i][j] = bit.bit_length()
+            row[j] = bit.bit_length()
             row_used[i] |= bit
             col_used[j] |= bit
-            yield from fill(k + 1)
+            found += fill(k + 1)
             row_used[i] ^= bit
             col_used[j] ^= bit
+        return found
 
     return fill(0)

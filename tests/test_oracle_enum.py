@@ -1,8 +1,9 @@
 """Brute-force enumeration: counts, ordering, independence checks, and the
 cycle-type reduction behind ``count_all``."""
 
+import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -15,6 +16,7 @@ from latinsq.oracle_enum import (
     _derangement_types,
     _extensions,
     count_all,
+    cycle_type_law,
     enumerate_all,
 )
 from latinsq.validator import is_latin
@@ -27,6 +29,16 @@ EXTENSIONS = {
     5: {(5,): 6, (2, 3): 4},
     6: {(6,): 168, (2, 4): 176, (3, 3): 192, (2, 2, 2): 224},
 }
+# |C_λ| E'(λ) of each derangement type at orders 1-7
+CYCLE_TYPE_LAW = {
+    1: {},
+    2: {(2,): 1},
+    3: {(3,): 2},
+    4: {(2, 2): 6, (4,): 6},
+    5: {(2, 3): 80, (5,): 144},
+    6: {(2, 2, 2): 3360, (2, 4): 15840, (3, 3): 7680, (6,): 20160},
+    7: {(2, 2, 3): 11612160, (2, 5): 27740160, (3, 4): 22901760, (7,): 39398400},
+}
 
 
 def reduced_count(n):
@@ -36,7 +48,7 @@ def reduced_count(n):
     grid = [[0] * n for _ in range(n)]
     for k in range(n):
         grid[0][k] = grid[k][0] = k + 1
-    return sum(1 for _ in _completions(grid)) * factorial(n) * factorial(n - 1)
+    return _completions(grid) * factorial(n) * factorial(n - 1)
 
 
 def cycle_type(row):
@@ -95,9 +107,68 @@ def test_count_matches_reduced_squares(n):
     assert count_all(n) == reduced_count(n)
 
 
-def test_count_order7():
+def test_count_order7(monkeypatch):
+    """One order-7 search pins both the count and the weights it sums."""
+    import latinsq.oracle_enum as oracle_enum
+
+    laws = []
+
+    def recording(n):
+        laws.append(cycle_type_law(n))
+        return laws[-1]
+
+    monkeypatch.setattr(oracle_enum, "cycle_type_law", recording)
     # McKay and Wanless, "On the number of Latin squares", 2005
     assert count_all(7) == 61_479_419_904_000
+    assert laws == [CYCLE_TYPE_LAW[7]]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycle_type_law(n):
+    law = cycle_type_law(n)
+    assert law == CYCLE_TYPE_LAW[n]
+    if n > 1:  # order 1 has no derangement, and one square
+        assert count_all(n) == factorial(n) * factorial(n - 2) * sum(law.values())
+
+
+def test_cycle_types_between_rows_split_as_the_law_says():
+    """In the order-4 squares, the permutation taking row a to row b has
+    type λ in n! (n-2)! |C_λ| E'(λ) of them, for every pair of rows."""
+    n, squares = 4, enumerate_all(4)
+    scale = factorial(n) * factorial(n - 2)
+    expected = {parts: scale * weight for parts, weight in cycle_type_law(n).items()}
+    for a, b in combinations(range(n), 2):
+        types = Counter()
+        for square in squares:
+            step = dict(zip(square.cells[a], square.cells[b]))
+            types[cycle_type([step[s] for s in range(1, n + 1)])] += 1
+        assert types == expected, (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_completions_of_blanked_squares(n):
+    """Blank random cells of enumerated squares, last-row cells included:
+    the search returns and visits exactly the squares that agree with the
+    kept cells, in lexicographic order, whether the last row is blank,
+    partly kept or whole."""
+    squares = [s.cells for s in enumerate_all(n)]
+    rng = random.Random(n)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    last_row_kept = set()
+    for trial in range(60):
+        square = rng.choice(squares)
+        blank = set(rng.sample(cells, rng.randint(0, n * n)))
+        if trial % 3 == 0:  # the whole last row blank
+            blank |= {(n - 1, j) for j in range(n)}
+        grid = [[0 if (i, j) in blank else square[i][j] for j in range(n)] for i in range(n)]
+        last_row_kept.add(sum(map(bool, grid[-1])))
+        kept = [(i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v]
+        agree = [s for s in squares if all(s[i][j] == v for i, j, v in kept)]
+        seen = []
+        found = _completions(grid, lambda g: seen.append(tuple(map(tuple, g))))
+        assert found == len(seen) == len(agree)
+        assert seen == agree == sorted(agree)
+    assert last_row_kept == set(range(n + 1))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -125,6 +196,8 @@ def test_class_sizes_sum_to_derangements(n, derangements):
 def test_count_cap():
     with pytest.raises(OrderTooLarge, match="1..7, got 8"):
         count_all(8)
+    with pytest.raises(OrderTooLarge, match="1..7, got 8"):
+        cycle_type_law(8)
 
 
 def test_order_validation():
