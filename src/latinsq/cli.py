@@ -25,6 +25,10 @@ are numbered ``square k:`` when the input holds more than one square.
 JSON input is parsed whole and, its cells being typed, checked by
 ``is_latin``.
 
+A request whose first word is a command is parsed by that command's own
+parser; anything else, or anything that parser leaves over, is parsed
+again by the full parser, so it words every error and help text.
+
 Exit codes
     0  success / square is valid
     1  square is invalid
@@ -346,6 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generate, validate, convert, count and benchmark Latin squares.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for _parse
 
     gen = sub.add_parser("generate", help="generate random squares")
     gen.add_argument("--order", "-n", type=_INT, required=True, help=f"square order, 1..{MAX_ORDER}")
@@ -387,10 +392,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as the full parser reads it, less ``command``.  When the
+    first word names a command, that command's parser reads the rest
+    alone: the full parser would hand it exactly those words, so its
+    errors and help read the same.  Any other request, or one with a word
+    left over, is parsed again by the full parser, which words its error
+    or help."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else argv)
         except SystemExit as exc:  # argparse has already printed its message or the help
             code = exc.code
         else:

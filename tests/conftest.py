@@ -1,5 +1,6 @@
 """Shared fixtures: a known-good order-12 exponential square, a scripted
-random source, and the cut of a value quoted in an error line."""
+random source, the cut of a value quoted in an error line, and the cycle
+type of a permutation."""
 
 import pytest
 
@@ -61,3 +62,17 @@ class Script:
         if len(self.bounds) > len(self.values):
             raise LookupError("draw past the end of the script")
         return self.values[len(self.bounds) - 1]
+
+
+def cycle_type(row):
+    """The sorted cycle lengths of the permutation j -> row[j-1] of 1..n."""
+    seen, lengths = set(), []
+    for start in range(1, len(row) + 1):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = row[j - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))

@@ -1,5 +1,7 @@
 """Fuzz of the read path: ``validate -`` and ``convert -`` on arbitrary stdin,
 and of the argument parser: argv drawn from the CLI's own vocabulary.
+Each such argv, and a fixed list of edge cases, is parsed by the command's
+own parser just as by the full parser.
 
 Whatever the input, the command exits 0, 1 or 2, writes at most one line
 to stderr (an ``error:`` line on exit 2) and raises nothing.  The
@@ -11,10 +13,11 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinsq.cli import main
+from latinsq.cli import _build_parser, _parse, main
 
 # ---------------------------------------------------------------- oracle
 
@@ -239,3 +242,52 @@ def test_argv_fuzz(argv, text):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: its Namespace less ``command``, or the
+    ``SystemExit`` code, each with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        else:
+            args.pop("command", None)
+            result = ("args", args)
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parsed_as_by_the_full_parser(argv):
+    assert _parsed(_parse, argv) == _parsed(_build_parser().parse_args, argv)
+
+
+EDGE_ARGVS = [
+    ["count", "-n5"],
+    ["count", "--order=5"],
+    ["count", "--ord", "5"],
+    ["count", "--order", "5", "x"],
+    ["count", "--", "--order", "5"],
+    ["count", "--order", "5", "--"],
+    ["-h"],
+    ["count", "-h"],
+    ["coun", "--order", "5"],
+    [],
+    ["--", "count", "--order", "5"],
+    ["validate", "-", "--exp", "extra"],
+    ["convert", "--to", "exp", "--", "-"],
+    ["bench", "--order", "4", "--iter", "2"],
+    ["count", "--order", "9" * 4000],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: "_".join(argv)[:40] or "empty")
+def test_command_parser_agrees_with_the_full_parser(argv):
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs)
+def test_command_parser_agrees_with_the_full_parser_on_fuzzed_argv(argv):
+    assert_parsed_as_by_the_full_parser(argv)

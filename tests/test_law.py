@@ -9,20 +9,23 @@ along the path.  Sets of symbols stand in for the generator's masks.
 A row's law depends only on the column sets of the rows above it, so it
 is computed once per tuple of column sets: order 5 takes 4,321
 row laws instead of a search over every draw path of every square.
+At order 5 the law also gives the generator's exact bias in the cycle
+type between its last two rows.
 """
 
 import functools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from scipy import stats
 
 from latinsq.latin_gen import generate
-from latinsq.oracle_enum import count_all
+from latinsq.oracle_enum import count_all, cycle_type_law
 from latinsq.rng_choice import RandomSource
 
-from conftest import Script
+from conftest import Script, cycle_type
 
 LAW_TV = {3: 0.125, 4: 0.241, 5: 0.233}  # total-variation distance from uniform
 LAW_SPREAD = {3: 1.7, 4: 6.4, 5: 66.2}  # largest over smallest square probability
@@ -106,6 +109,21 @@ def test_law_has_full_support_and_pinned_bias(laws, n):
     tv = sum(abs(p - 1 / len(law)) for p in law.values()) / 2
     assert round(tv, 3) == LAW_TV[n]
     assert round(max(law.values()) / min(law.values()), 1) == LAW_SPREAD[n]
+
+
+def test_order5_last_two_rows_lean_to_a_5_cycle(laws):
+    """The cycle type of the permutation carrying row 4 to row 5: its exact
+    share under the generator's law against the uniform law's, which the
+    count oracle's weights give."""
+    shares = Counter()
+    for cells, p in laws[5].items():
+        step = dict(zip(cells[3], cells[4]))
+        shares[cycle_type([step[s] for s in range(1, 6)])] += p
+    assert {parts: round(p, 6) for parts, p in shares.items()} == {(2, 3): 0.219668, (5,): 0.780332}
+    weights = cycle_type_law(5)
+    total = sum(weights.values())
+    uniform = {parts: Fraction(weight, total) for parts, weight in weights.items()}
+    assert uniform == {(2, 3): Fraction(80, 224), (5,): Fraction(144, 224)}
 
 
 @pytest.mark.parametrize("n", [3, 4])

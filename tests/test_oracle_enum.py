@@ -21,6 +21,8 @@ from latinsq.oracle_enum import (
 )
 from latinsq.validator import is_latin
 
+from conftest import cycle_type
+
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
 DERANGEMENTS = {1: 0, 2: 1, 3: 2, 4: 9, 5: 44, 6: 265, 7: 1854}
 # E' of each derangement type at orders 4-6
@@ -49,20 +51,6 @@ def reduced_count(n):
     for k in range(n):
         grid[0][k] = grid[k][0] = k + 1
     return _completions(grid) * factorial(n) * factorial(n - 1)
-
-
-def cycle_type(row):
-    """The sorted cycle lengths of the permutation j -> row[j-1] of 1..n."""
-    seen, lengths = set(), []
-    for start in range(1, len(row) + 1):
-        length, j = 0, start
-        while j not in seen:
-            seen.add(j)
-            j = row[j - 1]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
 
 
 @pytest.mark.parametrize("n, expected", sorted(KNOWN_COUNTS.items()))
