@@ -15,6 +15,12 @@ each power, which is v.  A token
 the table lacks (``+4``, ``04``, ``1_0``) is read by ``int`` and looked
 up again by its decimal; a value the table lacks becomes 0.
 
+``generate`` streams: each square is drawn, rendered and written before
+the next is drawn, so a batch holds one square in memory, and a closed
+pipe ends it at the next write.  JSON output spells its symbols through
+``_GRID_TEXT``, byte for byte as ``json.dumps`` spells the payload, so
+only JSON input loads ``json``.
+
 ``validate`` and ``convert`` read text input square by square: each block
 is parsed and decided by ``is_packed_latin`` (n x n, every row and column
 summing to 2**n - 1) before the next is read, and ``convert`` writes only
@@ -107,7 +113,7 @@ def _parse_text(text: str, exponential: bool):
 
 
 def _parse_json(text: str) -> list[list[list[int]]]:
-    import json  # only the JSON paths load it, to keep start-up short
+    import json  # only JSON input loads it, to keep start-up short
     try:
         data = json.loads(text)
     except RecursionError:
@@ -180,6 +186,13 @@ def _render_text(cells, names) -> str:
     return "".join(" ".join([names[v] for v in row]) + "\n" for row in cells)
 
 
+def _render_json(cells) -> str:
+    """Rows of symbols as the object ``{"order": n, "cells": [[...]]}``,
+    spelled as ``json.dumps`` spells it, each symbol by ``_GRID_TEXT``."""
+    rows = ", ".join(["[" + ", ".join([_GRID_TEXT[v] for v in row]) + "]" for row in cells])
+    return f'{{"order": {len(cells)}, "cells": [{rows}]}}'
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -194,19 +207,24 @@ def _base_source(args) -> RandomSource:
 
 def _cmd_generate(args) -> int:
     base = _base_source(args)
-    # one derived source per square (seed + index) so any square in a
-    # batch can be regenerated on its own
-    squares = [generate(args.order, base.spawn(i)).square for i in range(args.count)]
     if args.format == "json":
-        import json
-        # json.dumps writes the cell tuples as arrays
-        payload = [{"order": square.order, "cells": square.cells} for square in squares]
-        body = payload[0] if len(payload) == 1 else payload
-        sys.stdout.write(json.dumps(body) + "\n")
+        render = _render_json
+        # json.dumps's spelling: a batch is an array, one square a bare object
+        opening, separator, closing = ("[", ", ", "]\n") if args.count > 1 else ("", "", "\n")
     else:
         names = _EXP_TEXT if args.format == "exp" else _GRID_TEXT
-        blocks = (_render_text(s.cells, names) for s in squares)
-        sys.stdout.write("\n".join(blocks))
+        render = functools.partial(_render_text, names=names)
+        opening, separator, closing = "", "\n", ""
+    write = sys.stdout.write
+    write(opening)
+    # one derived source per square (seed + index) so any square in a
+    # batch can be regenerated on its own; each is written before the
+    # next is drawn, so a batch holds one square at a time
+    for i in range(args.count):
+        if i:
+            write(separator)
+        write(render(generate(args.order, base.spawn(i)).square.cells))
+    write(closing)
     return EXIT_OK
 
 

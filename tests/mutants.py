@@ -1,0 +1,173 @@
+"""Mutation checks: small edits to the package that named tests must catch.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named mutants
+
+For each mutant the script copies ``src/`` to a temporary directory,
+requires the named tests to pass on that unmutated copy, replaces the
+mutant's snippet there, and requires the same tests to fail.  Each snippet
+must occur exactly once in its file, so a change that rewrites the code
+under a mutant must rewrite the mutant too.  A mutant that survives is a
+gap in the tests.  Exits 0 when every mutant is caught, 1 otherwise.
+
+Standard library only; pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/latinsq
+    snippet: str  # must occur exactly once in the file
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "row-screen-without-zero-test",
+        "validator.py",
+        "reduce(or_, row) == full and 0 not in row for row in matrix",
+        "reduce(or_, row) == full for row in matrix",
+        (
+            "tests/test_validator.py::test_packed_checks_match_per_cell_reference",
+            "tests/test_latin_gen.py::test_square_types_validate_on_construction",
+        ),
+    ),
+    Mutant(
+        "row-screen-without-union-test",
+        "validator.py",
+        "reduce(or_, row) == full and 0 not in row for row in matrix",
+        "0 not in row for row in matrix",
+        (
+            "tests/test_validator.py::test_packed_checks_match_per_cell_reference",
+            "tests/test_latin_gen.py::test_square_types_validate_on_construction",
+        ),
+    ),
+    Mutant(
+        "last-row-left-unwritten",
+        "oracle_enum.py",
+        "last[j] = (full ^ col_used[j]).bit_length()",
+        "pass",
+        ("tests/test_oracle_enum.py::test_completions_of_blanked_squares",),
+    ),
+    Mutant(
+        "no-flush-before-exit",
+        "cli.py",
+        "sys.stdout.flush()  # here,",
+        "pass  # here,",
+        ("tests/test_cli.py::test_closed_stdout_ends_in_one_error_line",),
+    ),
+    Mutant(
+        "no-devnull-after-a-closed-pipe",
+        "cli.py",
+        "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
+        "pass",
+        ("tests/test_cli.py::test_closed_stdout_ends_in_one_error_line",),
+    ),
+    Mutant(
+        "quoted-values-not-cut",
+        "errors.py",
+        "if len(data) <= QUOTE_BYTES:",
+        "if True:",
+        (
+            "tests/test_cli.py::test_refused_row_is_quoted_within_a_short_line",
+            "tests/test_cli.py::test_long_values_are_quoted_within_a_short_line",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line",
+        ),
+    ),
+    Mutant(
+        "command-parser-keeps-leftover-words",
+        "cli.py",
+        "        if not extra:\n            return args\n",
+        "        return args\n",
+        ("tests/test_cli_fuzz.py::test_command_parser_agrees_with_the_full_parser",),
+    ),
+    Mutant(
+        "every-exponential-row-taken-as-decoded",
+        "cli.py",
+        "row if exp_text and all(row) else",
+        "row if exp_text else",
+        ("tests/test_cli.py::test_exponential_text_is_decided_by_is_latin_alone",),
+    ),
+    Mutant(
+        "json-squares-not-separated",
+        "cli.py",
+        '("[", ", ", "]\\n")',
+        '("[", "", "]\\n")',
+        (
+            "tests/test_cli.py::test_generate_json_single_and_batch",
+            "tests/test_cli.py::test_generate_json_is_byte_identical_to_json_dumps",
+        ),
+    ),
+    Mutant(
+        "text-squares-not-separated",
+        "cli.py",
+        'opening, separator, closing = "", "\\n", ""',
+        'opening, separator, closing = "", "", ""',
+        ("tests/test_cli.py::test_generate_count_separated_by_blank_line",),
+    ),
+)
+
+
+def _pytest(src: str, tests) -> int:
+    """Exit code of pytest on ``tests``, with the package imported from ``src``."""
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode
+
+
+def check(mutant: Mutant) -> str:
+    """'caught', or why the mutant is not."""
+    with tempfile.TemporaryDirectory(prefix="latinsq-mutant-") as scratch:
+        src = os.path.join(scratch, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = os.path.join(src, "latinsq", mutant.path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        found = text.count(mutant.snippet)
+        if found != 1:
+            return f"snippet occurs {found} times in {mutant.path}"
+        code = _pytest(src, mutant.tests)
+        if code != 0:
+            return f"the named tests exit {code} on the unmutated copy"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.snippet, mutant.replacement))
+        code = _pytest(src, mutant.tests)
+        if code == 0:
+            return "survived: the named tests pass"
+        if code != 1:  # 2 and above: collection or usage errors, not a failing test
+            return f"the named tests exit {code}, not 1, on the mutant"
+        return "caught"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 1
+    failed = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        started = time.monotonic()
+        outcome = check(mutant)
+        failed += outcome != "caught"
+        print(f"{mutant.name}: {outcome} ({time.monotonic() - started:.1f} s)", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 import time
@@ -31,6 +32,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def _buffered_env():
+    """The environment of a child CLI run on this package's source, with
+    stdout buffered as in a shell pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 # ---------------------------------------------------------------- generate
@@ -99,6 +111,22 @@ def test_generate_json_single_and_batch(capsys):
     assert batch[0]["cells"] == payload["cells"]
 
 
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_generate_json_is_byte_identical_to_json_dumps(capsys, order):
+    """The JSON render spells what ``json.dumps`` spells for the payload:
+    one object, or an array of them, then a newline.  Order 1 is where a
+    tuple's ``repr``, ``((1,),)``, would differ from it."""
+    for count in (1, 3) + ((2,) if order == 1 else ()):
+        base = RandomSource(7)
+        payload = [
+            {"order": order, "cells": generate(order, base.spawn(i)).square.cells}
+            for i in range(count)
+        ]
+        expected = json.dumps(payload[0] if count == 1 else payload) + "\n"
+        argv = ["--order", str(order), "--count", str(count), "--seed", "7", "--format", "json"]
+        assert run(capsys, "generate", *argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("fmt", ["grid", "exp", "json"])
 def test_pipe_roundtrip_generate_validate(capsys, tmp_path, fmt):
     code, out, _ = run(
@@ -115,21 +143,26 @@ def test_pipe_roundtrip_generate_validate(capsys, tmp_path, fmt):
 
 def test_start_up_loads_no_dataclasses_and_json_only_on_json_paths():
     # -S keeps site-packages hooks out; only the package's own src is on the path
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = (
-        "import sys, latinsq.cli\n"
+        "import io, sys, latinsq.cli\n"
         "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)))\n"
         "latinsq.cli.main(['generate', '-n', '2', '--seed', '1', '--format', 'json'])\n"
+        "print('json' in sys.modules)\n"
+        "sys.stdin = io.StringIO('{\"order\": 1, \"cells\": [[1]]}')\n"
+        "latinsq.cli.main(['validate', '-'])\n"
         "print('json' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.splitlines() == ["[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "True"]
+    # JSON output is spelled without json; JSON input loads it
+    assert done.stdout.splitlines() == [
+        "[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "False", "VALID", "True"
+    ]
 
 
 def test_generate_deterministic_across_processes():
@@ -153,9 +186,7 @@ def test_generate_deterministic_across_processes():
 )
 def test_closed_stdout_ends_in_one_error_line(argv, stdin):
     # stdout buffered, as in a shell pipe: the write fails at the final flush
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _buffered_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts: every write fails
     try:
@@ -171,6 +202,67 @@ def test_closed_stdout_ends_in_one_error_line(argv, stdin):
         os.close(write_end)
     assert done.returncode == 2
     assert done.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
+def test_generate_ends_at_once_when_its_reader_leaves():
+    """``generate --count 1000000 | head -1`` ends at once: squares are
+    written as they are drawn, so the write after the reader has gone
+    fails, and the child exits 2 with one line, long before the batch
+    could be drawn."""
+    argv = ["generate", "--order", "12", "--count", "1000000", "--seed", "1"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "latinsq.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_buffered_env(),
+    )
+    deadline = time.monotonic() + 10
+    try:
+        # a child that holds its output back must not block the test
+        assert select.select([child.stdout], [], [], 10)[0], "no line within 10 s"
+        line = child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=deadline - time.monotonic())
+    finally:
+        child.kill()  # nothing to kill once it has exited
+        child.wait()
+    assert len(line.split()) == 12
+    assert child.returncode == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+# the peak RSS of the child's own address space since its exec: Linux
+# carries ru_maxrss across fork and exec, so that would read the peak of
+# the test process itself
+PEAK_PROBE = (
+    "import sys\n"
+    "from latinsq.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("fmt", ["json", "grid"])
+def test_generate_holds_one_square_at_a_time(fmt):
+    """A batch is written square by square, so its peak memory does not
+    grow with ``--count``: a child's peak RSS (KiB) writing 6,400 order-12
+    squares is within 2 MB of its peak writing 200."""
+    peaks = []
+    for count in (200, 6400):
+        argv = ["generate", "-n", "12", "--count", str(count), "--format", fmt, "--seed", "1"]
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, *argv],
+            env=_buffered_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        peaks.append(int(done.stderr))
+    assert abs(peaks[1] - peaks[0]) <= 2 * 1024, peaks
 
 
 def test_generate_order_too_large(capsys):
