@@ -38,17 +38,18 @@ again by the full parser, so it words every error and help text.
 Exit codes
     0  success / square is valid
     1  square is invalid
-    2  usage or input error
+    2  usage or input error, or a standard stream closed or failing
 """
 
 import argparse
+import errno
 import functools
 import os
 import sys
 import time
 
 from .errors import QUOTE_BYTES, LatinSqError, MalformedMatrix, _cut
-from .latin_gen import _repair_row, generate
+from .latin_gen import _naive_generate, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import COUNT_CAP, count_all
 from .rng_choice import RandomSource
@@ -57,6 +58,17 @@ from .validator import is_exponential_latin, is_latin, is_packed_latin
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+
+
+def _std(name: str):
+    """``sys.stdin``, ``sys.stdout`` or ``sys.stderr``, refused as an
+    ``OSError`` when it is None, as Python leaves a stream whose descriptor
+    was closed at start-up (``<&-``).  ``print`` would pass over a None
+    stdout, and write a None stderr's lines to stdout."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
 
 
 # ---------------------------------------------------------------- formats
@@ -152,7 +164,7 @@ def _squares(path: str, exp_text: bool):
     ``is_latin`` decides it, and a passing square is lifted to powers.
     """
     if path == "-":
-        text = sys.stdin.read()
+        text = _std("stdin").read()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -201,7 +213,7 @@ def _base_source(args) -> RandomSource:
     check_order(args.order)  # before a seed is drawn or echoed
     base = RandomSource(args.seed)
     if args.seed is None:
-        print(f"# seed: {base.seed}", file=sys.stderr)
+        print(f"# seed: {base.seed}", file=_std("stderr"))
     return base
 
 
@@ -243,7 +255,7 @@ def _cmd_convert(args) -> int:
     blocks = []
     for rows in _squares(args.file, args.to == "grid"):
         if isinstance(rows, str):  # the message names the first violation
-            print(rows, file=sys.stderr)
+            print(rows, file=_std("stderr"))
             return EXIT_INVALID
         # the power 2**(v-1) of symbol v has bit length v
         lines = (" ".join([names[p.bit_length()] for p in row]) + "\n" for row in rows)
@@ -287,75 +299,36 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _naive_generate(n, src):
-    """Cell-by-cell fill with an n-slot boolean availability list per cell.
-
-    Bench baseline: same algorithm and same draw sequence as
-    latin_gen.generate, with the packed masks of the per-cell draw
-    replaced by the obvious list-of-flags bookkeeping; a dead-end cell
-    goes through the same repair.  Returns (rows of symbols 1..n, repairs).
-    """
-    grid = [[0] * n for _ in range(n)]
-    repairs = 0
-    for row in range(n):
-        for col in range(n):
-            avail = [True] * n
-            for i in range(row):
-                avail[grid[i][col] - 1] = False
-            for j in range(col):
-                avail[grid[row][j] - 1] = False
-            live = sum(avail)
-            if live == 0:
-                repairs += 1
-                cells = [1 << (v - 1) for v in grid[row][:col]] + [0]
-                col_used = [sum(1 << (grid[i][j] - 1) for i in range(row)) for j in range(col + 1)]
-                _repair_row(cells, col, col_used, (1 << n) - 1, src)
-                grid[row][: col + 1] = [bits.bit_length() for bits in cells]
-                continue
-            rank = src.next_below(live) + 1
-            symbol = 0
-            seen = 0
-            while seen < rank:
-                if avail[symbol]:
-                    seen += 1
-                symbol += 1
-            grid[row][col] = symbol
-    return grid, repairs
-
-
 # ---------------------------------------------------------------- parser
 
 
+def _int(text: str) -> int:
+    """An argparse type: ``int``, refusing a value in argparse's own words,
+    ``invalid int value: '...'``, with the value cut to fit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_cut(repr(text))}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
-def _quoting(kind):
-    """``kind`` as an argparse type that refuses a value in argparse's own
-    words, ``invalid <kind> value: '...'``, with the value cut to fit."""
-
-    def read(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            quoted = _cut(repr(text))
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quoted}") from None
-
-    return read
-
-
-_INT = _quoting(int)
-_POSITIVE_INT = _quoting(_positive_int)
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line, without the usage text."""
+    """Reports a usage error as one ``error:`` line, without the usage text,
+    and lets a failed write of help or usage raise, where argparse passes
+    over it, so that ``main`` reports it."""
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or _std("stderr")).write(message)
 
 
 @functools.cache
@@ -371,13 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # command name -> its parser, for _parse
 
     gen = sub.add_parser("generate", help="generate random squares")
-    gen.add_argument("--order", "-n", type=_INT, required=True, help=f"square order, 1..{MAX_ORDER}")
+    gen.add_argument("--order", "-n", type=_int, required=True, help=f"square order, 1..{MAX_ORDER}")
     gen.add_argument(
         "--seed",
-        type=_INT,
+        type=_int,
         help="unsigned 64-bit seed; drawn from OS entropy and echoed to stderr when omitted",
     )
-    gen.add_argument("--count", type=_POSITIVE_INT, default=1, help="squares to emit (default 1)")
+    gen.add_argument("--count", type=_positive_int, default=1, help="squares to emit (default 1)")
     gen.add_argument(
         "--format", choices=("grid", "exp", "json"), default="grid", help="output form (default grid)"
     )
@@ -396,15 +369,15 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(func=_cmd_convert)
 
     cnt = sub.add_parser("count", help="exact number of Latin squares of an order")
-    cnt.add_argument("--order", "-n", type=_INT, required=True, help=f"order, 1..{COUNT_CAP}")
+    cnt.add_argument("--order", "-n", type=_int, required=True, help=f"order, 1..{COUNT_CAP}")
     cnt.set_defaults(func=_cmd_count)
 
     bench = sub.add_parser("bench", help="time bitmask against boolean-array generation")
-    bench.add_argument("--order", "-n", type=_INT, required=True, help=f"square order, 1..{MAX_ORDER}")
+    bench.add_argument("--order", "-n", type=_int, required=True, help=f"square order, 1..{MAX_ORDER}")
     bench.add_argument(
-        "--iterations", type=_POSITIVE_INT, default=10, help="squares per implementation (default 10)"
+        "--iterations", type=_positive_int, default=10, help="squares per implementation (default 10)"
     )
-    bench.add_argument("--seed", type=_INT, help="base seed (entropy when omitted)")
+    bench.add_argument("--seed", type=_int, help="base seed (entropy when omitted)")
     bench.set_defaults(func=_cmd_bench)
 
     return parser
@@ -428,6 +401,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        _std("stdout")  # refused before any command runs or any help is printed
         try:
             args = _parse(sys.argv[1:] if argv is None else argv)
         except SystemExit as exc:  # argparse has already printed its message or the help
@@ -436,9 +410,14 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # here, so that a closed pipe is reported as an error
     except (LatinSqError, OSError, ValueError) as exc:
-        if isinstance(exc, BrokenPipeError):  # so that the flush at exit cannot fail too
+        # a write refused for want of a reader or of room leaves its bytes
+        # buffered: drop them, so that the flush at exit cannot fail too
+        if isinstance(exc, OSError) and exc.errno in (errno.EPIPE, errno.ENOSPC):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+        try:  # a stderr that is closed or failing still leaves exit 2
+            print(f"error: {exc}", file=_std("stderr"))
+        except OSError:
+            pass
         return EXIT_USAGE
     return code
 

@@ -122,3 +122,39 @@ def _repair_row(row: list[int], c: int, col_used: list[int], full: int, src: Ran
         row[x], bit = bit, row[x]
         x = parent[x]
     return entering
+
+
+def _naive_generate(n, src):
+    """Cell-by-cell fill with an n-slot boolean availability list per cell.
+
+    Bench baseline: same algorithm and same draw sequence as ``generate``,
+    with the packed masks of the per-cell draw replaced by the obvious
+    list-of-flags bookkeeping; a dead-end cell goes through the same
+    repair.  Returns (rows of symbols 1..n, repairs).
+    """
+    grid = [[0] * n for _ in range(n)]
+    repairs = 0
+    for row in range(n):
+        for col in range(n):
+            avail = [True] * n
+            for i in range(row):
+                avail[grid[i][col] - 1] = False
+            for j in range(col):
+                avail[grid[row][j] - 1] = False
+            live = sum(avail)
+            if live == 0:
+                repairs += 1
+                cells = [1 << (v - 1) for v in grid[row][:col]] + [0]
+                col_used = [sum(1 << (grid[i][j] - 1) for i in range(row)) for j in range(col + 1)]
+                _repair_row(cells, col, col_used, (1 << n) - 1, src)
+                grid[row][: col + 1] = [bits.bit_length() for bits in cells]
+                continue
+            rank = src.next_below(live) + 1
+            symbol = 0
+            seen = 0
+            while seen < rank:
+                if avail[symbol]:
+                    seen += 1
+                symbol += 1
+            grid[row][col] = symbol
+    return grid, repairs

@@ -77,6 +77,47 @@ MUTANTS = (
         ("tests/test_cli.py::test_closed_stdout_ends_in_one_error_line",),
     ),
     Mutant(
+        "no-devnull-after-a-full-device",
+        "cli.py",
+        "exc.errno in (errno.EPIPE, errno.ENOSPC)",
+        "exc.errno in (errno.EPIPE,)",
+        ("tests/test_cli.py::test_output_into_a_full_device_ends_in_one_error_line",),
+    ),
+    Mutant(
+        "closed-stream-taken-as-open",
+        "cli.py",
+        '    if stream is None:\n        raise OSError(f"{name} is closed")\n',
+        "",
+        ("tests/test_cli.py::test_closed_standard_stream_ends_in_exit_2",),
+    ),
+    Mutant(
+        "error-report-unguarded",
+        "cli.py",
+        "        try:  # a stderr that is closed or failing still leaves exit 2\n"
+        '            print(f"error: {exc}", file=_std("stderr"))\n'
+        "        except OSError:\n"
+        "            pass\n",
+        '        print(f"error: {exc}", file=_std("stderr"))\n',
+        ("tests/test_cli.py::test_closed_standard_stream_ends_in_exit_2",),
+    ),
+    Mutant(
+        "argparse-passes-over-a-failed-write",
+        "cli.py",
+        "    def _print_message(self, message, file=None):",
+        "    def _unused_print_message(self, message, file=None):",
+        (
+            "tests/test_cli.py::test_output_into_a_full_device_ends_in_one_error_line",
+            "tests/test_cli.py::test_unbuffered_help_into_a_closed_pipe_ends_in_one_error_line",
+        ),
+    ),
+    Mutant(
+        "non-positive-int-accepted",
+        "cli.py",
+        "    if value < 1:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line",),
+    ),
+    Mutant(
         "quoted-values-not-cut",
         "errors.py",
         "if len(data) <= QUOTE_BYTES:",

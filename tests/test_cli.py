@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 import latinsq
 from latinsq import cli, validator
-from latinsq.cli import _naive_generate, main
+from latinsq.cli import main
 from latinsq.errors import LatinSqError, MalformedMatrix
-from latinsq.latin_gen import generate
+from latinsq.latin_gen import _naive_generate, generate
 from latinsq.mask_set import MAX_ORDER
 from latinsq.rng_choice import RandomSource
 
@@ -196,6 +197,100 @@ def test_closed_stdout_ends_in_one_error_line(argv, stdin):
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.parametrize(
+    "argv, fd",
+    [
+        (["validate", "-"], 0),
+        (["generate", "--order", "3", "--seed", "1"], 1),
+        (["convert", "-", "--to", "exp"], 1),
+        (["count", "--order", "3"], 1),
+        (["--help"], 1),
+        (["generate", "--order", "3"], 2),  # the seed echo cannot be written
+        (["generate", "--order", "99"], 2),  # nor can the error line
+        (["validate", "/nonexistent"], 2),
+    ],
+    ids=[
+        "stdin-validate",
+        "stdout-generate",
+        "stdout-convert",
+        "stdout-count",
+        "stdout-help",
+        "stderr-seed-echo",
+        "stderr-order",
+        "stderr-missing-file",
+    ],
+)
+def test_closed_standard_stream_ends_in_exit_2(argv, fd):
+    """A descriptor closed before the child starts, as ``<&-``, ``>&-`` or
+    ``2>&-`` closes it, leaves Python's stream None.  The request ends in
+    exit 2 with nothing on stdout, and one error line on stderr unless
+    stderr is the stream that is closed."""
+    done = subprocess.run(
+        [sys.executable, "-m", "latinsq.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        preexec_fn=functools.partial(os.close, fd),
+        env=_buffered_env(),
+        timeout=60,
+    )
+    name = ("stdin", "stdout", "stderr")[fd]
+    err = b"" if fd == 2 else f"error: {name} is closed\n".encode()
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to Linux's /dev/full")
+@pytest.mark.parametrize(
+    "argv, buffered",
+    [
+        (["--help"], True),
+        (["--help"], False),  # argparse passes over a failed write of the help
+        (["generate", "--help"], True),
+        (["generate", "--help"], False),
+        (["count", "--order", "3"], True),  # a failed flush leaves the bytes buffered
+        (["generate", "--order", "12", "--seed", "1"], True),
+    ],
+    ids=[
+        "help-buffered",
+        "help-unbuffered",
+        "generate-help-buffered",
+        "generate-help-unbuffered",
+        "count-buffered",
+        "generate-buffered",
+    ],
+)
+def test_output_into_a_full_device_ends_in_one_error_line(argv, buffered):
+    env = _buffered_env()
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "latinsq.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+def test_unbuffered_help_into_a_closed_pipe_ends_in_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "latinsq.cli", "generate", "--help"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**_buffered_env(), "PYTHONUNBUFFERED": "1"},
             timeout=60,
         )
     finally:
@@ -705,11 +800,11 @@ SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
         ),
         (
             ["generate", "--order", "5", "--count", "x" + NINES],
-            f"latinsq generate: argument --count: invalid _positive_int value: {CUT_X_NINES}",
+            f"latinsq generate: argument --count: invalid int value: {CUT_X_NINES}",
         ),
         (
             ["bench", "--order", "5", "--iterations", "9" * 5000],  # more digits than int reads
-            "latinsq bench: argument --iterations: invalid _positive_int value: "
+            "latinsq bench: argument --iterations: invalid int value: "
             + cut(repr("9" * 5000)),
         ),
         # values of at most 80 bytes read as argparse words them
@@ -720,7 +815,7 @@ SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
         ),
         (
             ["generate", "--order", "5", "--count", "x"],
-            "latinsq generate: argument --count: invalid _positive_int value: 'x'",
+            "latinsq generate: argument --count: invalid int value: 'x'",
         ),
         (
             ["bench", "--order", "5", "--iterations", "0"],
