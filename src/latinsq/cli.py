@@ -48,7 +48,7 @@ import os
 import sys
 import time
 
-from .errors import QUOTE_BYTES, LatinSqError, MalformedMatrix, _cut
+from .errors import QUOTE_BYTES, LatinSqError, MalformedMatrix, _quote
 from .latin_gen import _naive_generate, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import COUNT_CAP, count_all
@@ -115,7 +115,7 @@ def _parse_text(text: str, exponential: bool):
             try:
                 row = [table.get(str(int(token)), 0) for token in tokens]
             except ValueError:  # the row may be huge: only its start can be quoted
-                quoted = _cut(repr(line.strip()[:QUOTE_BYTES]))
+                quoted = _quote(line.strip()[:QUOTE_BYTES])
                 raise MalformedMatrix(f"not an integer row: {quoted}") from None
         rows.append(row)
         lines.append(line)
@@ -308,7 +308,7 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_cut(repr(text))}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -414,8 +414,11 @@ def main(argv: list[str] | None = None) -> int:
         # buffered: drop them, so that the flush at exit cannot fail too
         if isinstance(exc, OSError) and exc.errno in (errno.EPIPE, errno.ENOSPC):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = exc
+        if isinstance(exc, OSError) and exc.filename is not None:  # FILE may be long
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_quote(exc.filename)}"
         try:  # a stderr that is closed or failing still leaves exit 2
-            print(f"error: {exc}", file=_std("stderr"))
+            print(f"error: {message}", file=_std("stderr"))
         except OSError:
             pass
         return EXIT_USAGE

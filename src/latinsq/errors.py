@@ -1,27 +1,23 @@
-"""Exception types shared across the package, and the cut that keeps a
-value quoted in an error line short."""
+"""Exception types shared across the package, and the one rule for how an
+error or verdict line quotes a value: an int in decimal, anything else by
+``repr``, cut to QUOTE_BYTES."""
 
 QUOTE_BYTES = 80  # the most UTF-8 bytes of a value that an error line quotes
 _LOG10_2 = 0.30102999566398120
 
 
-def _cut(text: str) -> str:
-    """``text`` as an error line quotes it: whole when its UTF-8 takes at
-    most QUOTE_BYTES, else its first QUOTE_BYTES - 3 bytes and ``...``; a
-    character cut in two is dropped."""
-    data = text.encode()
-    if len(data) <= QUOTE_BYTES:
-        return text
-    return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
-
-
-def _quote(value, spell=str) -> str:
-    """``_cut(spell(value))``, the way an error line quotes a caller's
-    value.  An int is spelled in decimal from its leading digits alone,
-    taken by integer division by a power of ten, so one of any size is
-    quoted (``str`` refuses an int of over 4,300 digits)."""
-    if type(value) is not int:  # a bool or an int subclass spells itself
-        return _cut(spell(value))
+def _quote(value) -> str:
+    """``value`` as an error or verdict line quotes it: an int in decimal,
+    anything else by ``repr``.  Either is cut to its first QUOTE_BYTES - 3
+    UTF-8 bytes and ``...`` when it takes more than QUOTE_BYTES, and a
+    character cut in two is dropped.  An int is spelled from its leading
+    digits alone, taken by integer division by a power of ten, so one of
+    any size is quoted (``str`` refuses an int of over 4,300 digits)."""
+    if type(value) is not int:  # a bool or an int subclass is spelled by repr
+        data = repr(value).encode()
+        if len(data) <= QUOTE_BYTES:
+            return data.decode()
+        return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
     sign = "-" if value < 0 else ""
     magnitude = abs(value)
     if magnitude < 10 ** (QUOTE_BYTES - len(sign)):  # at most QUOTE_BYTES: whole

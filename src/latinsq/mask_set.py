@@ -42,7 +42,7 @@ class SubsetMask(namedtuple("SubsetMask", "bits order")):
     def __new__(cls, bits: int, order: int):
         check_order(order)
         if type(bits) is not int or not 0 <= bits < (1 << order):  # a bool or float is no mask
-            raise ValueError(f"bits must be in 0..2**{order}-1, got {_quote(bits, repr)}")
+            raise ValueError(f"bits must be in 0..2**{order}-1, got {_quote(bits)}")
         return super().__new__(cls, bits, order)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too

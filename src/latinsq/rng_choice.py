@@ -21,7 +21,7 @@ class RandomSource:
         if seed is None:
             seed = random.SystemRandom().getrandbits(64)
         if type(seed) is not int or not 0 <= seed <= _WORD64:  # a bool or float is no seed
-            raise ValueError(f"seed must be an unsigned 64-bit value, got {_quote(seed, repr)}")
+            raise ValueError(f"seed must be an unsigned 64-bit value, got {_quote(seed)}")
         self.seed = seed
         self._rng = random.Random(seed)
 

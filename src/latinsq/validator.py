@@ -65,7 +65,7 @@ def _square_order(matrix: Matrix) -> int:
             )
         if set(map(type, row)) != _INT_ONLY:
             v = next(v for v in row if type(v) is not int)
-            raise MalformedMatrix(f"row {i} holds a non-integer entry {_quote(v, repr)}")
+            raise MalformedMatrix(f"row {i} holds a non-integer entry {_quote(v)}")
     check_order(n)
     return n
 

@@ -94,10 +94,10 @@ MUTANTS = (
         "error-report-unguarded",
         "cli.py",
         "        try:  # a stderr that is closed or failing still leaves exit 2\n"
-        '            print(f"error: {exc}", file=_std("stderr"))\n'
+        '            print(f"error: {message}", file=_std("stderr"))\n'
         "        except OSError:\n"
         "            pass\n",
-        '        print(f"error: {exc}", file=_std("stderr"))\n',
+        '        print(f"error: {message}", file=_std("stderr"))\n',
         ("tests/test_cli.py::test_closed_standard_stream_ends_in_exit_2",),
     ),
     Mutant(
@@ -127,6 +127,23 @@ MUTANTS = (
             "tests/test_cli.py::test_long_values_are_quoted_within_a_short_line",
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line",
         ),
+    ),
+    Mutant(
+        "non-int-quoted-by-str",
+        "errors.py",
+        "data = repr(value).encode()",
+        "data = str(value).encode()",
+        (
+            "tests/test_validator.py::test_a_huge_argument_is_refused_by_its_own_error[check_order-str]",
+            "tests/test_validator.py::test_a_huge_argument_is_refused_by_its_own_error[singleton-str]",
+        ),
+    ),
+    Mutant(
+        "file-path-not-cut",
+        "cli.py",
+        "if isinstance(exc, OSError) and exc.filename is not None:",
+        "if False:",
+        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-path]",),
     ),
     Mutant(
         "command-parser-keeps-leftover-words",

@@ -780,6 +780,7 @@ LONG_VALUES = [
 
 CUT_X_NINES = cut(repr("x" + NINES))  # argparse quotes a refused value by repr
 SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
+LONG_PATH = "/nonexistent/" + "y" * 300
 
 
 @pytest.mark.parametrize(
@@ -821,6 +822,10 @@ SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
             ["bench", "--order", "5", "--iterations", "0"],
             "latinsq bench: argument --iterations: must be a positive integer",
         ),
+        (
+            ["validate", LONG_PATH],
+            f"[Errno 2] No such file or directory: {cut(repr(LONG_PATH))}",
+        ),
     ],
     ids=[
         "generate-order",
@@ -836,6 +841,7 @@ SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
         "80-byte-order",
         "short-count",
         "iterations-0",
+        "long-path",
     ],
 )
 def test_command_line_values_are_quoted_within_a_short_line(capsys, argv, message):

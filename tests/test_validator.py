@@ -420,7 +420,7 @@ def test_a_quoted_int_is_its_decimal_cut():
     values += [(1 << k) + d for k in range(250, 280) for d in (-1, 0)]
     values += [rng.getrandbits(rng.randrange(1, 40000)) for _ in range(200)]
     for value in values + [-v for v in values]:
-        assert errors._quote(value) == errors._quote(value, repr) == _cut_decimal(value)
+        assert errors._quote(value) == _cut_decimal(value)
 
 
 @pytest.mark.parametrize(
@@ -448,8 +448,19 @@ def test_a_huge_cell_gets_a_verdict(check, value, message):
         (lambda v: SubsetMask(v, 3), BIG, ValueError, "bits must be in 0..2**3-1, got {}"),
         (RandomSource, BIG, ValueError, "seed must be an unsigned 64-bit value, got {}"),
         (RandomSource(1).next_below, -BIG, InvalidBound, "bound must be >= 1, got {}"),
+        # a value that is not an int is quoted by repr
+        (check_order, "5", OrderTooLarge, "order must be in 1..64, got '5'"),
+        (lambda v: singleton(v, 3), "2", SymbolOutOfRange, "symbol '2' outside 1..3"),
     ],
-    ids=["check_order", "singleton", "SubsetMask", "RandomSource", "next_below"],
+    ids=[
+        "check_order",
+        "singleton",
+        "SubsetMask",
+        "RandomSource",
+        "next_below",
+        "check_order-str",
+        "singleton-str",
+    ],
 )
 def test_a_huge_argument_is_refused_by_its_own_error(call, value, kind, message):
     with pytest.raises(Exception) as info:
