@@ -48,7 +48,7 @@ import os
 import sys
 import time
 
-from .errors import QUOTE_BYTES, LatinSqError, MalformedMatrix, _quote
+from .errors import QUOTE_BYTES, LatinSqError, MalformedMatrix, _cut, _quote
 from .latin_gen import _naive_generate, generate
 from .mask_set import MAX_ORDER, check_order
 from .oracle_enum import COUNT_CAP, count_all
@@ -321,10 +321,25 @@ def _positive_int(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, without the usage text,
     and lets a failed write of help or usage raise, where argparse passes
-    over it, so that ``main`` reports it."""
+    over it, so that ``main`` reports it.  A refused choice is quoted by
+    ``_quote``, and the words left over are cut by ``_cut``, so a long one
+    cannot make the line long."""
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:  # argparse spells the value by repr
+            exc.message = exc.message.replace(repr(value), _quote(value), 1)
+            raise
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_cut(' '.join(extra))}")
+        return args
 
     def _print_message(self, message, file=None):
         if message:

@@ -6,18 +6,23 @@ QUOTE_BYTES = 80  # the most UTF-8 bytes of a value that an error line quotes
 _LOG10_2 = 0.30102999566398120
 
 
+def _cut(text: str) -> str:
+    """``text`` whole when its UTF-8 takes at most QUOTE_BYTES, else its
+    first QUOTE_BYTES - 3 bytes and ``...``, less a character cut in two."""
+    data = text.encode()
+    if len(data) <= QUOTE_BYTES:
+        return text
+    return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
+
+
 def _quote(value) -> str:
     """``value`` as an error or verdict line quotes it: an int in decimal,
-    anything else by ``repr``.  Either is cut to its first QUOTE_BYTES - 3
-    UTF-8 bytes and ``...`` when it takes more than QUOTE_BYTES, and a
-    character cut in two is dropped.  An int is spelled from its leading
-    digits alone, taken by integer division by a power of ten, so one of
-    any size is quoted (``str`` refuses an int of over 4,300 digits)."""
+    anything else by ``repr``, either cut as ``_cut`` cuts.  An int is
+    spelled from its leading digits alone, taken by integer division by a
+    power of ten, so one of any size is quoted (``str`` refuses an int of
+    over 4,300 digits)."""
     if type(value) is not int:  # a bool or an int subclass is spelled by repr
-        data = repr(value).encode()
-        if len(data) <= QUOTE_BYTES:
-            return data.decode()
-        return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
+        return _cut(repr(value))
     sign = "-" if value < 0 else ""
     magnitude = abs(value)
     if magnitude < 10 ** (QUOTE_BYTES - len(sign)):  # at most QUOTE_BYTES: whole

@@ -13,23 +13,14 @@ equal powers carry; 2**n - 1 has n one bits, and a 0 adds none, so the n
 cells of a line are n distinct powers below 2**n, which are
 2**0 .. 2**(n-1).
 
-``is_exponential_latin`` takes any ints, so it adds one screen per row:
-no cell is 0 and the union of the cells equals the universe 2**n - 1.
-The union admits no negative cell and no bit outside the universe; a sum
-equal to the union leaves the cells pairwise disjoint; and n nonzero
-pairwise disjoint subsets of an n-bit universe are its n singletons.  So
-every cell is a power, and the sums decide.  The sums run first: they
-stop at the first line that fails.
-
-When the check fails, the failure is named by the first cell that is not
-such a power or, when every cell is one, by ``is_latin`` on the symbol
-form: a row or column of powers sums to 2**n - 1 exactly when its symbols
-are a permutation, so both forms fail first at the same row or column.
+``is_exponential_latin`` takes any ints, so it checks its definition: it
+names the first cell that is not a power of two in 1..2**(n-1) and, when
+every cell is one, ``is_latin`` decides the symbol form.  A row or column
+of powers sums to 2**n - 1 exactly when its symbols are a permutation, so
+the sums and ``is_latin`` fail first at the same row or column.
 """
 
 from collections import namedtuple
-from functools import reduce
-from operator import or_
 from typing import NamedTuple, Sequence
 
 from .errors import MalformedMatrix, _quote
@@ -113,9 +104,6 @@ def is_exponential_latin(matrix: Matrix) -> ValidationResult:
     first duplicate; duplicates are reported as symbols, rows first.
     """
     n = _square_order(matrix)
-    full = (1 << n) - 1
-    if is_packed_latin(matrix) and all(reduce(or_, row) == full and 0 not in row for row in matrix):
-        return _VALID
     top = 1 << (n - 1)
     for i, row in enumerate(matrix, start=1):
         for j, v in enumerate(row, start=1):

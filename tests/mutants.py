@@ -36,24 +36,38 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "row-screen-without-zero-test",
+        "power-test-without-lower-bound",
         "validator.py",
-        "reduce(or_, row) == full and 0 not in row for row in matrix",
-        "reduce(or_, row) == full for row in matrix",
+        "if v < 1 or v > top or v & (v - 1):",
+        "if v > top or v & (v - 1):",
+        ("tests/test_validator.py::test_exponential_names_a_cell_that_is_not_a_power_in_range[zero]",),
+    ),
+    Mutant(
+        "power-test-without-upper-bound",
+        "validator.py",
+        "if v < 1 or v > top or v & (v - 1):",
+        "if v < 1 or v & (v - 1):",
         (
-            "tests/test_validator.py::test_packed_checks_match_per_cell_reference",
-            "tests/test_latin_gen.py::test_square_types_validate_on_construction",
+            "tests/test_validator.py::test_exponential_names_a_cell_that_is_not_a_power_in_range[above-range]",
+            "tests/test_validator.py::test_exponential_rejects_power_out_of_range",
         ),
     ),
     Mutant(
-        "row-screen-without-union-test",
+        "power-test-without-single-bit-test",
         "validator.py",
-        "reduce(or_, row) == full and 0 not in row for row in matrix",
-        "0 not in row for row in matrix",
+        "if v < 1 or v > top or v & (v - 1):",
+        "if v < 1 or v > top:",
         (
-            "tests/test_validator.py::test_packed_checks_match_per_cell_reference",
-            "tests/test_latin_gen.py::test_square_types_validate_on_construction",
+            "tests/test_validator.py::test_exponential_names_a_cell_that_is_not_a_power_in_range[non-power]",
+            "tests/test_validator.py::test_non_power_anywhere_beats_an_earlier_row_duplicate",
         ),
+    ),
+    Mutant(
+        "repair-odds-from-the-first-column",
+        "latin_gen.py",
+        "            if k > most:\n",
+        "            if not most:\n",
+        ("tests/test_latin_gen.py::test_repair_draws_every_candidate_equally_often",),
     ),
     Mutant(
         "last-row-left-unwritten",
@@ -131,8 +145,8 @@ MUTANTS = (
     Mutant(
         "non-int-quoted-by-str",
         "errors.py",
-        "data = repr(value).encode()",
-        "data = str(value).encode()",
+        "return _cut(repr(value))",
+        "return _cut(str(value))",
         (
             "tests/test_validator.py::test_a_huge_argument_is_refused_by_its_own_error[check_order-str]",
             "tests/test_validator.py::test_a_huge_argument_is_refused_by_its_own_error[singleton-str]",
@@ -144,6 +158,23 @@ MUTANTS = (
         "if isinstance(exc, OSError) and exc.filename is not None:",
         "if False:",
         ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-path]",),
+    ),
+    Mutant(
+        "refused-choice-not-cut",
+        "cli.py",
+        "exc.message = exc.message.replace(repr(value), _quote(value), 1)",
+        "pass",
+        (
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-command]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-format]",
+        ),
+    ),
+    Mutant(
+        "leftover-words-not-cut",
+        "cli.py",
+        "{_cut(' '.join(extra))}",
+        "{' '.join(extra)}",
+        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-extra]",),
     ),
     Mutant(
         "command-parser-keeps-leftover-words",

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, round trips, bench."""
 
+import argparse
 import ast
 import contextlib
 import functools
@@ -781,6 +782,21 @@ LONG_VALUES = [
 CUT_X_NINES = cut(repr("x" + NINES))  # argparse quotes a refused value by repr
 SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
 LONG_PATH = "/nonexistent/" + "y" * 300
+LONG_WORD = "x" * 3000
+
+
+def choices_tail(*choices):
+    """What argparse writes after a refused choice, `` (choose from ...)``,
+    with the choices listed as this Python's argparse lists them."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("--x", choices=choices)
+    with pytest.raises(argparse.ArgumentError) as refused:
+        parser.parse_args(["--x", "?"])
+    return str(refused.value).partition("'?'")[2]
+
+
+COMMANDS_TAIL = choices_tail("generate", "validate", "convert", "count", "bench")
+FORMATS_TAIL = choices_tail("grid", "exp", "json")
 
 
 @pytest.mark.parametrize(
@@ -826,6 +842,21 @@ LONG_PATH = "/nonexistent/" + "y" * 300
             ["validate", LONG_PATH],
             f"[Errno 2] No such file or directory: {cut(repr(LONG_PATH))}",
         ),
+        # argparse's own refusals: the refused choice and the words left over
+        (
+            [LONG_WORD],
+            f"latinsq: argument command: invalid choice: {cut(repr(LONG_WORD))}{COMMANDS_TAIL}",
+        ),
+        (
+            ["generate", "--order", "3", "--format", LONG_WORD],
+            f"latinsq generate: argument --format: invalid choice: {cut(repr(LONG_WORD))}{FORMATS_TAIL}",
+        ),
+        (["count", "--order", "5", LONG_WORD], f"latinsq: unrecognized arguments: {cut(LONG_WORD)}"),
+        (
+            ["generate", "--order", "3", "--format", "x" * 78],
+            f"latinsq generate: argument --format: invalid choice: '{'x' * 78}'{FORMATS_TAIL}",
+        ),
+        (["count", "--order", "5", "extra"], "latinsq: unrecognized arguments: extra"),
     ],
     ids=[
         "generate-order",
@@ -842,6 +873,11 @@ LONG_PATH = "/nonexistent/" + "y" * 300
         "short-count",
         "iterations-0",
         "long-path",
+        "long-command",
+        "long-format",
+        "long-extra",
+        "80-byte-format",
+        "short-extra",
     ],
 )
 def test_command_line_values_are_quoted_within_a_short_line(capsys, argv, message):

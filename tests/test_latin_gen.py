@@ -1,7 +1,9 @@
 """Generator soundness, determinism, repairs, and the exponential view."""
 
 import hashlib
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from latinsq.rng_choice import RandomSource
 from latinsq.validator import is_exponential_latin, is_latin
 
 from conftest import Script
+from test_law import _repaired_rows
 
 
 def test_order1_is_the_unique_square():
@@ -72,27 +75,75 @@ def test_repair_shifts_symbols_along_the_drawn_path(draw, expected):
     assert row == expected
 
 
-def test_repair_draws_every_candidate_equally_often():
-    # order 5: the row 3 2 4 _ under columns holding {2,4} {4,5} {2,3} {1,5}
-    # reaches column 2 with free symbol 1, and columns 1 and 3 with 1 and 5
+def _repair_odds(symbols, column_sets, n):
+    """Each row ``_repair_row`` makes of the partial row ``symbols``, whose
+    next cell has no legal symbol under columns holding ``column_sets``,
+    with its probability summed over every draw path that keeps the first
+    column drawn."""
+    c = len(symbols)
+    col_used = [sum(1 << (s - 1) for s in column) for column in column_sets[: c + 1]]
     odds = Counter()
     scripts = [[]]
     while scripts:
         script = scripts.pop()
-        row = [0b00100, 0b00010, 0b01000, 0]
+        row = [1 << (s - 1) for s in symbols] + [0] * (n - c)
         src = Script(script)
         try:
-            _repair_row(row, 3, [0b01010, 0b11000, 0b00110, 0b10001], 0b11111, src)
+            _repair_row(row, c, col_used, (1 << n) - 1, src)
         except LookupError:
             if len(script) < 3:  # one column draw, one odds draw, one symbol draw
                 scripts.extend(script + [v] for v in range(src.bounds[-1]))
             continue  # longer scripts follow a rejected column draw
-        weight = 1.0
-        for bound in src.bounds:
-            weight /= bound
-        odds[tuple(row)] += weight
+        odds[tuple(map(int.bit_length, row[: c + 1]))] += Fraction(1, math.prod(src.bounds))
+    return odds
+
+
+def _dead_ends(n):
+    """Every distinct dead end of the sampler at order n: a partial row
+    whose next cell has no legal symbol, with the sets its columns up to
+    that cell hold.  Follows every way the sampler fills a row, repairs
+    included, below every rectangle it builds, as ``repair_law`` does."""
+    ends = set()
+
+    def fill(row, column_sets):
+        c = len(row)
+        if c == n:
+            yield row
+            return
+        choices = sorted(set(range(1, n + 1)) - column_sets[c] - set(row))
+        if not choices:
+            ends.add((tuple(row), column_sets[: c + 1]))
+        for following in [row + [s] for s in choices] or _repaired_rows(row, column_sets, n):
+            yield from fill(following, column_sets)
+
+    seen = set()
+    stack = [(frozenset(),) * n]
+    while stack:
+        column_sets = stack.pop()
+        if column_sets in seen:
+            continue
+        seen.add(column_sets)
+        for row in fill([], column_sets):
+            if len(column_sets[0]) < n - 1:
+                stack.append(tuple(s | {v} for s, v in zip(column_sets, row)))
+    return ends
+
+
+def test_repair_draws_every_candidate_equally_often():
+    # order 5: the row 3 2 4 _ under columns holding {2,4} {4,5} {2,3} {1,5}
+    # reaches column 2 with free symbol 1, and columns 1 and 3 with 1 and 5
+    odds = _repair_odds([3, 2, 4], [{2, 4}, {4, 5}, {2, 3}, {1, 5}], 5)
     assert len(odds) == 5
-    assert all(p == pytest.approx(1 / 6) for p in odds.values())  # accepted 5/6 of the time
+    assert set(odds.values()) == {Fraction(1, 6)}  # accepted 5/6 of the time
+    # at every dead end the sampler meets at orders 4 and 5, exactly the
+    # candidates of the law's own search are drawn, each equally often
+    for n, count in ((4, 216), (5, 23_100)):
+        ends = _dead_ends(n)
+        assert len(ends) == count
+        for symbols, column_sets in ends:
+            odds = _repair_odds(symbols, column_sets, n)
+            assert set(odds) == {tuple(row) for row in _repaired_rows(symbols, column_sets, n)}
+            assert len(set(odds.values())) == 1
 
 
 class Recording(RandomSource):

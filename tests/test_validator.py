@@ -75,6 +75,17 @@ def test_exponential_rejects_power_out_of_range():
     assert "not a power of two" in verdict.message
 
 
+@pytest.mark.parametrize(
+    "cell", [0, -2, 3, 8, 2**70], ids=["zero", "negative", "non-power", "above-range", "huge"]
+)
+def test_exponential_names_a_cell_that_is_not_a_power_in_range(cell):
+    # with 2 in place of the cell the square is Latin; 3 has the bit length of 2
+    verdict = is_exponential_latin([[1, 2, 4], [4, 1, 2], [2, 4, cell]])
+    assert verdict == ValidationResult(
+        False, f"row 3 column 3 contains {cell}, not a power of two in 1..4"
+    )
+
+
 def test_order12_reference(order12_exp):
     assert is_exponential_latin(order12_exp)
     standard = [[v.bit_length() for v in row] for row in order12_exp]
