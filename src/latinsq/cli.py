@@ -321,9 +321,10 @@ def _positive_int(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, without the usage text,
     and lets a failed write of help or usage raise, where argparse passes
-    over it, so that ``main`` reports it.  A refused choice is quoted by
-    ``_quote``, and the words left over are cut by ``_cut``, so a long one
-    cannot make the line long."""
+    over it, so that ``main`` reports it.  A refused choice and a value
+    given to a flag are quoted by ``_quote``, and an ambiguous option and
+    the words left over are cut by ``_cut``, so a long one cannot make the
+    line long."""
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
@@ -333,6 +334,22 @@ class _Parser(argparse.ArgumentParser):
             super()._check_value(action, value)
         except argparse.ArgumentError as exc:  # argparse spells the value by repr
             exc.message = exc.message.replace(repr(value), _quote(value), 1)
+            raise
+
+    def _get_option_tuples(self, option_string):
+        matches = super()._get_option_tuples(option_string)
+        if len(matches) > 1:  # argparse would word this refusal with the option whole
+            options = ", ".join(match[1] for match in matches)
+            self.error(f"ambiguous option: {_cut(option_string)} could match {options}")
+        return matches
+
+    def _parse_known_args(self, *args):
+        try:
+            return super()._parse_known_args(*args)
+        except argparse.ArgumentError as exc:  # argparse spells a flag's value by repr
+            head, sep, value = exc.message.partition("ignored explicit argument ")
+            if sep and not head:
+                exc.message = sep + _cut(value)
             raise
 
     def parse_args(self, args=None, namespace=None):
@@ -429,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         # buffered: drop them, so that the flush at exit cannot fail too
         if isinstance(exc, OSError) and exc.errno in (errno.EPIPE, errno.ENOSPC):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        message = exc
+        message = str(exc)  # not exc: its traceback holds this frame, a cycle
         if isinstance(exc, OSError) and exc.filename is not None:  # FILE may be long
             message = f"[Errno {exc.errno}] {exc.strerror}: {_quote(exc.filename)}"
         try:  # a stderr that is closed or failing still leaves exit 2

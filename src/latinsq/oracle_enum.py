@@ -117,6 +117,12 @@ def _completions(grid: list[list[int]], visit=None) -> int:
     every fill of rows 1..n-1 completes, exactly once.
 
     The grid is filled in place, so copy a visited grid to keep it.
+
+    ``fill`` calls itself, so it holds itself through its closure cell, and
+    with it the masks and the cell list.  Its name is deleted once the
+    search ends, so the search leaves no reference cycle: reference
+    counting frees it at once, and a loop of searches never starts the
+    garbage collector.
     """
     n = len(grid)
     full = (1 << n) - 1
@@ -152,4 +158,7 @@ def _completions(grid: list[list[int]], visit=None) -> int:
             col_used[j] ^= bit
         return found
 
-    return fill(0)
+    try:
+        return fill(0)
+    finally:
+        del fill  # break the cycle through fill's closure cell

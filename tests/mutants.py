@@ -77,6 +77,26 @@ MUTANTS = (
         ("tests/test_oracle_enum.py::test_completions_of_blanked_squares",),
     ),
     Mutant(
+        "search-cycle-left-behind",
+        "oracle_enum.py",
+        "        del fill  #",
+        "        pass  #",
+        (
+            "tests/test_cli.py::test_a_request_leaves_no_cyclic_garbage[count-5]",
+            "tests/test_cli.py::test_a_request_leaves_no_cyclic_garbage[count_all-5]",
+        ),
+    ),
+    Mutant(
+        "error-keeps-the-exception",
+        "cli.py",
+        "message = str(exc)",
+        "message = exc",
+        (
+            "tests/test_cli.py::test_a_request_leaves_no_cyclic_garbage[count-9]",
+            "tests/test_cli.py::test_a_request_leaves_no_cyclic_garbage[validate-malformed]",
+        ),
+    ),
+    Mutant(
         "no-flush-before-exit",
         "cli.py",
         "sys.stdout.flush()  # here,",
@@ -175,6 +195,20 @@ MUTANTS = (
         "{_cut(' '.join(extra))}",
         "{' '.join(extra)}",
         ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-extra]",),
+    ),
+    Mutant(
+        "ambiguous-option-not-cut",
+        "cli.py",
+        "ambiguous option: {_cut(option_string)}",
+        "ambiguous option: {option_string}",
+        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-ambiguous-option]",),
+    ),
+    Mutant(
+        "flag-value-not-cut",
+        "cli.py",
+        "exc.message = sep + _cut(value)",
+        "pass",
+        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-flag-value]",),
     ),
     Mutant(
         "command-parser-keeps-leftover-words",

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -25,6 +26,7 @@ from latinsq.cli import main
 from latinsq.errors import LatinSqError, MalformedMatrix
 from latinsq.latin_gen import _naive_generate, generate
 from latinsq.mask_set import MAX_ORDER
+from latinsq.oracle_enum import count_all, cycle_type_law, enumerate_all
 from latinsq.rng_choice import RandomSource
 
 from conftest import ORDER12_STD_ROW1, cut, render_rows
@@ -853,10 +855,24 @@ FORMATS_TAIL = choices_tail("grid", "exp", "json")
         ),
         (["count", "--order", "5", LONG_WORD], f"latinsq: unrecognized arguments: {cut(LONG_WORD)}"),
         (
+            ["generate", f"--={LONG_WORD}"],
+            f"latinsq generate: ambiguous option: {cut('--=' + LONG_WORD)} could match "
+            "--help, --order, --seed, --count, --format",
+        ),
+        (
+            ["validate", "-", f"--exp={LONG_WORD}"],
+            f"latinsq validate: argument --exp: ignored explicit argument {cut(repr(LONG_WORD))}",
+        ),
+        (
             ["generate", "--order", "3", "--format", "x" * 78],
             f"latinsq generate: argument --format: invalid choice: '{'x' * 78}'{FORMATS_TAIL}",
         ),
         (["count", "--order", "5", "extra"], "latinsq: unrecognized arguments: extra"),
+        (
+            ["count", "--=x"],
+            "latinsq count: ambiguous option: --=x could match --help, --order",
+        ),
+        (["validate", "-", "--exp=x"], "latinsq validate: argument --exp: ignored explicit argument 'x'"),
     ],
     ids=[
         "generate-order",
@@ -876,8 +892,12 @@ FORMATS_TAIL = choices_tail("grid", "exp", "json")
         "long-command",
         "long-format",
         "long-extra",
+        "long-ambiguous-option",
+        "long-flag-value",
         "80-byte-format",
         "short-extra",
+        "short-ambiguous-option",
+        "short-flag-value",
     ],
 )
 def test_command_line_values_are_quoted_within_a_short_line(capsys, argv, message):
@@ -1295,3 +1315,58 @@ def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     assert "invalid choice: 'xml'" in err  # on this test's stderr, not a stale one
     assert run(capsys, "generate", "--order", "1", "--seed", "7") == (0, "1\n", "")
     assert cli._build_parser() is cli._build_parser()
+
+
+# ---------------------------------------------------------------- garbage
+
+
+GARBAGE_REQUESTS = [  # (id, argv, stdin)
+    ("count-1", ["count", "--order", "1"], ""),
+    ("count-5", ["count", "--order", "5"], ""),
+    ("count-9", ["count", "--order", "9"], ""),
+    ("generate-grid", ["generate", "--order", "5", "--seed", "1", "--count", "3"], ""),
+    ("generate-json", ["generate", "--order", "5", "--seed", "1", "--count", "3", "--format", "json"], ""),
+    ("generate-70", ["generate", "--order", "70"], ""),
+    *(
+        (f"{argv[0]}-{kind}", argv, text)
+        for argv in (["validate", "-"], ["convert", "-", "--to", "exp"])
+        for kind, text in (
+            ("valid", "1 2\n2 1\n"),
+            ("invalid", "1 2\n2 2\n"),
+            ("malformed", "1 x\n2 1\n"),
+            ("json", '{"order": 2, "cells": [[1, 2], [2, 1]]}'),
+        )
+    ),
+    ("bench", ["bench", "--order", "5", "--iterations", "2", "--seed", "1"], ""),
+    ("missing-file", ["validate", "/nonexistent/square"], ""),
+    ("ambiguous-option", ["count", "--=5"], ""),
+]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *(
+            pytest.param(functools.partial(_call, argv, text), id=name)
+            for name, argv, text in GARBAGE_REQUESTS
+        ),
+        pytest.param(functools.partial(enumerate_all, 3), id="enumerate_all-3"),
+        pytest.param(functools.partial(count_all, 5), id="count_all-5"),
+        pytest.param(functools.partial(cycle_type_law, 6), id="cycle_type_law-6"),
+    ],
+)
+def test_a_request_leaves_no_cyclic_garbage(call):
+    """A request frees all it made by reference counting, so requests in a
+    loop never start the garbage collector.  ``--help`` is left out:
+    argparse's own ``HelpFormatter`` leaves a cycle behind each help text
+    (its sections point back to it), as a plain
+    ``argparse.ArgumentParser().format_help()`` does."""
+    call()  # the first request builds the parser and imports what it needs
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
