@@ -58,6 +58,7 @@ from .validator import is_exponential_latin, is_latin, is_packed_latin
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+LINE_BYTES = 198  # the most UTF-8 bytes of a usage error line, less its newline
 
 
 def _std(name: str):
@@ -302,61 +303,30 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _int(text: str) -> int:
-    """An argparse type: ``int``, refusing a value in argparse's own words,
-    ``invalid int value: '...'``, with the value cut to fit."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
-
-
 def _positive_int(text: str) -> int:
-    value = _int(text)
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
+_positive_int.__name__ = "int"  # argparse names the type in refusing a non-int
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, without the usage text,
     and lets a failed write of help or usage raise, where argparse passes
-    over it, so that ``main`` reports it.  A refused choice and a value
-    given to a flag are quoted by ``_quote``, and an ambiguous option and
-    the words left over are cut by ``_cut``, so a long one cannot make the
-    line long."""
+    over it, so that ``main`` reports it.
+
+    argparse quotes a refused value by ``repr``, but words left over and an
+    ambiguous option as written, so one may hold a line break.  Every
+    refusal passes through ``error``, which reads any run of whitespace in
+    it as one space, cuts each word as ``_cut`` cuts, and caps the line at
+    ``LINE_BYTES``: however long or many the words, it is one short line."""
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
-
-    def _check_value(self, action, value):
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as exc:  # argparse spells the value by repr
-            exc.message = exc.message.replace(repr(value), _quote(value), 1)
-            raise
-
-    def _get_option_tuples(self, option_string):
-        matches = super()._get_option_tuples(option_string)
-        if len(matches) > 1:  # argparse would word this refusal with the option whole
-            options = ", ".join(match[1] for match in matches)
-            self.error(f"ambiguous option: {_cut(option_string)} could match {options}")
-        return matches
-
-    def _parse_known_args(self, *args):
-        try:
-            return super()._parse_known_args(*args)
-        except argparse.ArgumentError as exc:  # argparse spells a flag's value by repr
-            head, sep, value = exc.message.partition("ignored explicit argument ")
-            if sep and not head:
-                exc.message = sep + _cut(value)
-            raise
-
-    def parse_args(self, args=None, namespace=None):
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {_cut(' '.join(extra))}")
-        return args
+        words = " ".join(map(_cut, f"error: {self.prog}: {message}".split()))
+        self.exit(EXIT_USAGE, _cut(words, LINE_BYTES) + "\n")
 
     def _print_message(self, message, file=None):
         if message:
@@ -376,10 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # command name -> its parser, for _parse
 
     gen = sub.add_parser("generate", help="generate random squares")
-    gen.add_argument("--order", "-n", type=_int, required=True, help=f"square order, 1..{MAX_ORDER}")
+    gen.add_argument("--order", "-n", type=int, required=True, help=f"square order, 1..{MAX_ORDER}")
     gen.add_argument(
         "--seed",
-        type=_int,
+        type=int,
         help="unsigned 64-bit seed; drawn from OS entropy and echoed to stderr when omitted",
     )
     gen.add_argument("--count", type=_positive_int, default=1, help="squares to emit (default 1)")
@@ -401,15 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(func=_cmd_convert)
 
     cnt = sub.add_parser("count", help="exact number of Latin squares of an order")
-    cnt.add_argument("--order", "-n", type=_int, required=True, help=f"order, 1..{COUNT_CAP}")
+    cnt.add_argument("--order", "-n", type=int, required=True, help=f"order, 1..{COUNT_CAP}")
     cnt.set_defaults(func=_cmd_count)
 
     bench = sub.add_parser("bench", help="time bitmask against boolean-array generation")
-    bench.add_argument("--order", "-n", type=_int, required=True, help=f"square order, 1..{MAX_ORDER}")
+    bench.add_argument("--order", "-n", type=int, required=True, help=f"square order, 1..{MAX_ORDER}")
     bench.add_argument(
         "--iterations", type=_positive_int, default=10, help="squares per implementation (default 10)"
     )
-    bench.add_argument("--seed", type=_int, help="base seed (entropy when omitted)")
+    bench.add_argument("--seed", type=int, help="base seed (entropy when omitted)")
     bench.set_defaults(func=_cmd_bench)
 
     return parser

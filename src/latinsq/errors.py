@@ -6,13 +6,13 @@ QUOTE_BYTES = 80  # the most UTF-8 bytes of a value that an error line quotes
 _LOG10_2 = 0.30102999566398120
 
 
-def _cut(text: str) -> str:
-    """``text`` whole when its UTF-8 takes at most QUOTE_BYTES, else its
-    first QUOTE_BYTES - 3 bytes and ``...``, less a character cut in two."""
+def _cut(text: str, limit: int = QUOTE_BYTES) -> str:
+    """``text`` whole when its UTF-8 takes at most ``limit`` bytes, else its
+    first ``limit`` - 3 bytes and ``...``, less a character cut in two."""
     data = text.encode()
-    if len(data) <= QUOTE_BYTES:
+    if len(data) <= limit:
         return text
-    return data[: QUOTE_BYTES - 3].decode(errors="ignore") + "..."
+    return data[: limit - 3].decode(errors="ignore") + "..."
 
 
 def _quote(value) -> str:

@@ -154,7 +154,7 @@ MUTANTS = (
     Mutant(
         "quoted-values-not-cut",
         "errors.py",
-        "if len(data) <= QUOTE_BYTES:",
+        "if len(data) <= limit:",
         "if True:",
         (
             "tests/test_cli.py::test_refused_row_is_quoted_within_a_short_line",
@@ -180,35 +180,38 @@ MUTANTS = (
         ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-path]",),
     ),
     Mutant(
-        "refused-choice-not-cut",
+        "usage-error-words-not-cut",
         "cli.py",
-        "exc.message = exc.message.replace(repr(value), _quote(value), 1)",
-        "pass",
+        'map(_cut, f"error:',
+        'map(str, f"error:',
         (
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[generate-not-an-int]",
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-command]",
-            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-format]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-extra]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-ambiguous-option]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-flag-value]",
         ),
     ),
     Mutant(
-        "leftover-words-not-cut",
+        "usage-error-line-not-capped",
         "cli.py",
-        "{_cut(' '.join(extra))}",
-        "{' '.join(extra)}",
-        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-extra]",),
+        "_cut(words, LINE_BYTES)",
+        "words",
+        (
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[many-extra-words]",
+            "tests/test_cli_fuzz.py::test_argv_fuzz",
+        ),
     ),
     Mutant(
-        "ambiguous-option-not-cut",
+        "usage-error-whitespace-kept",
         "cli.py",
-        "ambiguous option: {_cut(option_string)}",
-        "ambiguous option: {option_string}",
-        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-ambiguous-option]",),
-    ),
-    Mutant(
-        "flag-value-not-cut",
-        "cli.py",
-        "exc.message = sep + _cut(value)",
-        "pass",
-        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-flag-value]",),
+        '{message}".split()',
+        '{message}".split(" ")',
+        (
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[extra-with-a-line-break]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[ambiguous-option-with-a-line-break]",
+            "tests/test_cli_fuzz.py::test_argv_fuzz",
+        ),
     ),
     Mutant(
         "command-parser-keeps-leftover-words",

@@ -139,7 +139,8 @@ def test_criterion_6_choice_uniformity():
 
 
 def test_criterion_7_codec_exhaustiveness():
-    started = time.perf_counter()
+    # CPU time of this process: a loaded host does not stretch it
+    started = time.process_time()
     n = 16
     for bits in range(1 << n):
         mask = SubsetMask(bits, n)
@@ -153,7 +154,7 @@ def test_criterion_7_codec_exhaustiveness():
         assert union(ea, eb) == encode(a | b, order)
         assert remove_subset(ea, encode(a & b, order)) == encode(a - b, order)
         assert complement_in_universe(ea) == encode(set(range(1, order + 1)) - a, order)
-    elapsed = time.perf_counter() - started
+    elapsed = time.process_time() - started
     assert elapsed < 1.0
     print(
         f"[PASS] criterion 7: 2^16 roundtrips and 10^4 homomorphism pairs in {elapsed:.2f} s"

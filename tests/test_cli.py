@@ -785,6 +785,7 @@ CUT_X_NINES = cut(repr("x" + NINES))  # argparse quotes a refused value by repr
 SEED_MESSAGE = f"seed must be an unsigned 64-bit value, got {CUT_NINES}"
 LONG_PATH = "/nonexistent/" + "y" * 300
 LONG_WORD = "x" * 3000
+MANY_WORDS = [str(k) for k in range(1500)]
 
 
 def choices_tail(*choices):
@@ -873,6 +874,18 @@ FORMATS_TAIL = choices_tail("grid", "exp", "json")
             "latinsq count: ambiguous option: --=x could match --help, --order",
         ),
         (["validate", "-", "--exp=x"], "latinsq validate: argument --exp: ignored explicit argument 'x'"),
+        # words argparse quotes as written: a line break in one reads as one
+        # space, and a line too long for 198 bytes is cut to 195 and "..."
+        (["count", "--order", "5", "a\nb"], "latinsq: unrecognized arguments: a b"),
+        (
+            ["generate", "--=a\nb"],
+            "latinsq generate: ambiguous option: --=a b could match "
+            "--help, --order, --seed, --count, --format",
+        ),
+        (
+            ["count", "--order", "5", *MANY_WORDS],
+            f"latinsq: unrecognized arguments: {' '.join(MANY_WORDS)}"[: 195 - len("error: ")] + "...",
+        ),
     ],
     ids=[
         "generate-order",
@@ -898,6 +911,9 @@ FORMATS_TAIL = choices_tail("grid", "exp", "json")
         "short-extra",
         "short-ambiguous-option",
         "short-flag-value",
+        "extra-with-a-line-break",
+        "ambiguous-option-with-a-line-break",
+        "many-extra-words",
     ],
 )
 def test_command_line_values_are_quoted_within_a_short_line(capsys, argv, message):

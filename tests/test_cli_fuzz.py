@@ -4,8 +4,9 @@ Each such argv, and a fixed list of edge cases, is parsed by the command's
 own parser just as by the full parser.
 
 Whatever the input, the command exits 0, 1 or 2, writes at most one line
-to stderr (an ``error:`` line on exit 2) and raises nothing.  The
-verdict agrees with a set-based oracle kept in this file.
+to stderr (an ``error:`` line on exit 2) and raises nothing.  Whatever the
+argv, every line on stderr is under 200 bytes.  The verdict agrees with a
+set-based oracle kept in this file.
 """
 
 import io
@@ -221,8 +222,12 @@ def _fitting(command):
     return present.flatmap(st.permutations).map(lambda tail: _join([command], tail))
 
 
-anywhere = [[flag, value] for flag, (good, bad) in FLAGS.items() for value in good + bad]
+# words that a refusal must neither quote whole nor break across lines
+LONG = ("x" * 3000, "x " * 1500, "a\nb", "\n", "x\n" * 1500)
+
+anywhere = [[flag, value] for flag, (good, bad) in FLAGS.items() for value in good + bad + LONG]
 anywhere += [[word] for word in sorted(FLAGS) + ["--exp", "-", "1", "2"] + list(BAD)]
+anywhere += [[prefix + word] for word in LONG for prefix in ("", "--", "--=", "--exp=")]
 
 argvs = st.one_of(
     st.sampled_from(COMMANDS).flatmap(_fitting),  # some of these succeed
@@ -242,6 +247,7 @@ def test_argv_fuzz(argv, text):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert all(len(line.encode()) < 200 for line in err.splitlines(keepends=True))
 
 
 def _parsed(parse, argv):
