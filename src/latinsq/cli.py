@@ -58,7 +58,7 @@ from .validator import is_exponential_latin, is_latin, is_packed_latin
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-LINE_BYTES = 198  # the most UTF-8 bytes of a usage error line, less its newline
+LINE_BYTES = 198  # the most UTF-8 bytes of an error line, less its newline
 
 
 def _std(name: str):
@@ -314,19 +314,14 @@ _positive_int.__name__ = "int"  # argparse names the type in refusing a non-int
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line, without the usage text,
-    and lets a failed write of help or usage raise, where argparse passes
-    over it, so that ``main`` reports it.
-
-    argparse quotes a refused value by ``repr``, but words left over and an
-    ambiguous option as written, so one may hold a line break.  Every
-    refusal passes through ``error``, which reads any run of whitespace in
-    it as one space, cuts each word as ``_cut`` cuts, and caps the line at
-    ``LINE_BYTES``: however long or many the words, it is one short line."""
+    """Raises every refusal as a ``ValueError``, ``<prog>: <message>``, so
+    that ``main`` words it like any other error, without the usage text;
+    and lets a failed write of help raise, where argparse passes over it,
+    so that ``main`` reports it too.  argparse quotes a refused value by
+    ``repr``, but words left over and an ambiguous option as written."""
 
     def error(self, message):
-        words = " ".join(map(_cut, f"error: {self.prog}: {message}".split()))
-        self.exit(EXIT_USAGE, _cut(words, LINE_BYTES) + "\n")
+        raise ValueError(f"{self.prog}: {message}")
 
     def _print_message(self, message, file=None):
         if message:
@@ -402,11 +397,15 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run ``argv`` (the process's arguments when None); return its exit
+    code.  Every failure, argparse's refusals too, ends in exit 2 and one
+    ``error:`` line: any run of whitespace read as one space, each word cut
+    as ``_cut`` cuts, the line capped at ``LINE_BYTES``."""
     try:
         _std("stdout")  # refused before any command runs or any help is printed
         try:
             args = _parse(sys.argv[1:] if argv is None else argv)
-        except SystemExit as exc:  # argparse has already printed its message or the help
+        except SystemExit as exc:  # argparse has already printed the help
             code = exc.code
         else:
             code = args.func(args)
@@ -416,11 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         # buffered: drop them, so that the flush at exit cannot fail too
         if isinstance(exc, OSError) and exc.errno in (errno.EPIPE, errno.ENOSPC):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        message = str(exc)  # not exc: its traceback holds this frame, a cycle
-        if isinstance(exc, OSError) and exc.filename is not None:  # FILE may be long
-            message = f"[Errno {exc.errno}] {exc.strerror}: {_quote(exc.filename)}"
+        line = " ".join(map(_cut, f"error: {exc}".split()))
         try:  # a stderr that is closed or failing still leaves exit 2
-            print(f"error: {message}", file=_std("stderr"))
+            print(_cut(line, LINE_BYTES), file=_std("stderr"))
         except OSError:
             pass
         return EXIT_USAGE

@@ -7,11 +7,12 @@ _LOG10_2 = 0.30102999566398120
 
 
 def _cut(text: str, limit: int = QUOTE_BYTES) -> str:
-    """``text`` whole when its UTF-8 takes at most ``limit`` bytes, else its
-    first ``limit`` - 3 bytes and ``...``, less a character cut in two."""
-    data = text.encode()
+    """``text`` as stderr spells it, a lone surrogate (a byte not UTF-8) as
+    ``\\udcXX``: whole in at most ``limit`` bytes, else its first
+    ``limit - 3`` bytes and ``...``, less a character cut in two."""
+    data = text.encode(errors="backslashreplace")
     if len(data) <= limit:
-        return text
+        return data.decode()
     return data[: limit - 3].decode(errors="ignore") + "..."
 
 

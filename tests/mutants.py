@@ -89,8 +89,8 @@ MUTANTS = (
     Mutant(
         "error-keeps-the-exception",
         "cli.py",
-        "message = str(exc)",
-        "message = exc",
+        'f"error: {exc}"',
+        'f"error: {(kept := exc)}"',
         (
             "tests/test_cli.py::test_a_request_leaves_no_cyclic_garbage[count-9]",
             "tests/test_cli.py::test_a_request_leaves_no_cyclic_garbage[validate-malformed]",
@@ -128,10 +128,10 @@ MUTANTS = (
         "error-report-unguarded",
         "cli.py",
         "        try:  # a stderr that is closed or failing still leaves exit 2\n"
-        '            print(f"error: {message}", file=_std("stderr"))\n'
+        '            print(_cut(line, LINE_BYTES), file=_std("stderr"))\n'
         "        except OSError:\n"
         "            pass\n",
-        '        print(f"error: {message}", file=_std("stderr"))\n',
+        '        print(_cut(line, LINE_BYTES), file=_std("stderr"))\n',
         ("tests/test_cli.py::test_closed_standard_stream_ends_in_exit_2",),
     ),
     Mutant(
@@ -173,11 +173,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "file-path-not-cut",
-        "cli.py",
-        "if isinstance(exc, OSError) and exc.filename is not None:",
-        "if False:",
-        ("tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-path]",),
+        "surrogate-not-escaped",
+        "errors.py",
+        'text.encode(errors="backslashreplace")',
+        "text.encode()",
+        (
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[extra-not-utf-8]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[ambiguous-option-not-utf-8]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-extra-not-utf-8]",
+        ),
     ),
     Mutant(
         "usage-error-words-not-cut",
@@ -190,13 +194,14 @@ MUTANTS = (
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-extra]",
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-ambiguous-option]",
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-flag-value]",
+            "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[long-path]",
         ),
     ),
     Mutant(
         "usage-error-line-not-capped",
         "cli.py",
-        "_cut(words, LINE_BYTES)",
-        "words",
+        "_cut(line, LINE_BYTES)",
+        "line",
         (
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[many-extra-words]",
             "tests/test_cli_fuzz.py::test_argv_fuzz",
@@ -205,8 +210,8 @@ MUTANTS = (
     Mutant(
         "usage-error-whitespace-kept",
         "cli.py",
-        '{message}".split()',
-        '{message}".split(" ")',
+        '{exc}".split()',
+        '{exc}".split(" ")',
         (
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[extra-with-a-line-break]",
             "tests/test_cli.py::test_command_line_values_are_quoted_within_a_short_line[ambiguous-option-with-a-line-break]",

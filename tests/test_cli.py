@@ -886,6 +886,18 @@ FORMATS_TAIL = choices_tail("grid", "exp", "json")
             ["count", "--order", "5", *MANY_WORDS],
             f"latinsq: unrecognized arguments: {' '.join(MANY_WORDS)}"[: 195 - len("error: ")] + "...",
         ),
+        # a byte that is not UTF-8 reaches argv as a lone surrogate: a word
+        # quoted as written spells it as stderr writes it, \udcXX
+        (["count", "--order", "5", "\udcff"], "latinsq: unrecognized arguments: \\udcff"),
+        (
+            ["generate", "--=\udcff"],
+            "latinsq generate: ambiguous option: --=\\udcff could match "
+            "--help, --order, --seed, --count, --format",
+        ),
+        (
+            ["count", "--order", "5", "\udcff" * 3000],
+            "latinsq: unrecognized arguments: " + cut("\\udcff" * 3000),
+        ),
     ],
     ids=[
         "generate-order",
@@ -914,6 +926,9 @@ FORMATS_TAIL = choices_tail("grid", "exp", "json")
         "extra-with-a-line-break",
         "ambiguous-option-with-a-line-break",
         "many-extra-words",
+        "extra-not-utf-8",
+        "ambiguous-option-not-utf-8",
+        "long-extra-not-utf-8",
     ],
 )
 def test_command_line_values_are_quoted_within_a_short_line(capsys, argv, message):

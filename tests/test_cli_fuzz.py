@@ -223,7 +223,7 @@ def _fitting(command):
 
 
 # words that a refusal must neither quote whole nor break across lines
-LONG = ("x" * 3000, "x " * 1500, "a\nb", "\n", "x\n" * 1500)
+LONG = ("x" * 3000, "x " * 1500, "a\nb", "\n", "x\n" * 1500, "\udcff", "\udcff" * 3000)
 
 anywhere = [[flag, value] for flag, (good, bad) in FLAGS.items() for value in good + bad + LONG]
 anywhere += [[word] for word in sorted(FLAGS) + ["--exp", "-", "1", "2"] + list(BAD)]
@@ -251,12 +251,15 @@ def test_argv_fuzz(argv, text):
 
 
 def _parsed(parse, argv):
-    """What ``parse(argv)`` gives: its Namespace less ``command``, or the
-    ``SystemExit`` code, each with what it wrote to stdout and stderr."""
+    """What ``parse(argv)`` gives: its Namespace less ``command``, the
+    refusal it raises or the ``SystemExit`` code, each with what it wrote
+    to stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             args = vars(parse(argv))
+        except ValueError as exc:
+            result = ("refused", str(exc))
         except SystemExit as exc:
             result = ("exit", exc.code)
         else:

@@ -52,6 +52,7 @@ def test_next_below_range_and_uniformity():
 
 def test_seed_recorded_and_validated():
     assert RandomSource(42).seed == 42
+    assert repr(RandomSource(42)) == "RandomSource(seed=42)"
     auto = RandomSource()
     assert 0 <= auto.seed < (1 << 64)
     assert RandomSource().seed != auto.seed  # fresh entropy each time

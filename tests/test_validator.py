@@ -379,6 +379,7 @@ def test_square_equals_and_hashes_by_its_cells():
     assert square == LatinSquare([[1, 2], [2, 1]])
     assert hash(square) == hash(LatinSquare([(1, 2), (2, 1)]))
     assert square.cells == ((1, 2), (2, 1))
+    assert square.order == 2
     assert all(type(row) is tuple for row in square.cells) and type(square.cells) is tuple
 
 
