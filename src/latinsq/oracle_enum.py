@@ -6,8 +6,11 @@ search that completes a partly filled grid cell by cell in row-major
 order, trying symbols in ascending order, with packed-set pruning but none
 of the generator's machinery. It searches rows 1..n-1 only: once they are
 permutations, each column lacks exactly one symbol and those symbols form
-the last row, so every cell of the last row is forced. Counting runs that
-search once per cycle type of the second row.
+the last row, so every cell of the last row is forced. The search carries
+the current row's symbols down the recursion as one packed word, so a
+tried symbol updates only its column's word. Counting runs that search
+once per cycle type of the second row, from a state written down from
+that row alone; a partly filled grid gets its state from one scan.
 """
 
 from math import factorial, prod
@@ -96,11 +99,23 @@ def _cycle_row(parts: tuple[int, ...]) -> list[int]:
 
 def _extensions(second: list[int]) -> int:
     """E'(σ): the completions of the grid with row 1 the identity, row 2
-    ``second`` and column 1 of rows 3..n the other symbols ascending."""
+    ``second`` and column 1 of rows 3..n the other symbols ascending.
+
+    The search state is written down from σ, in O(n), with no scan of the
+    grid: rows 1 and 2 and column 1 are full, row i below them holds only
+    its column-1 symbol, and column j holds j and σ(j). Rows 3..n-1 are
+    searched from column 2 on, and the last row's cells in columns 2..n
+    are forced; at n = 2 the last row is σ itself, and nothing is forced.
+    """
     n = len(second)
+    full = (1 << n) - 1
     below = [s for s in range(2, n + 1) if s != second[0]]
     grid = [list(range(1, n + 1)), list(second)] + [[s] + [0] * (n - 1) for s in below]
-    return _completions(grid)
+    row_used = [full, full] + [1 << (s - 1) for s in below]
+    col_used = [full] + [1 << j | 1 << (second[j] - 1) for j in range(1, n)]
+    empty = [(i, j) for i in range(2, n - 1) for j in range(1, n)]
+    forced = range(1, n) if n > 2 else ()
+    return _search(grid, row_used, col_used, empty, forced)
 
 
 def _completions(grid: list[list[int]], visit=None) -> int:
@@ -109,23 +124,13 @@ def _completions(grid: list[list[int]], visit=None) -> int:
     in lexicographic row-major order; the nonzero cells stay fixed, and
     must not repeat a symbol in a row or column themselves.
 
-    Only rows 1..n-1 are searched. Once each of them is a permutation,
-    every symbol is missing from exactly one column, and a symbol kept in
-    the last row is missing only from its own column, since the search
-    keeps it out of that column. So each zero cell of the last row takes
-    the one symbol its column lacks, and the last row is a permutation:
-    every fill of rows 1..n-1 completes, exactly once.
+    One scan of the grid gives ``_search`` its state: each row's and each
+    column's fixed symbols as packed masks, the zero cells of rows 1..n-1
+    in row-major order, and the zero cells of the last row.
 
     The grid is filled in place, so copy a visited grid to keep it.
-
-    ``fill`` calls itself, so it holds itself through its closure cell, and
-    with it the masks and the cell list.  Its name is deleted once the
-    search ends, so the search leaves no reference cycle: reference
-    counting frees it at once, and a loop of searches never starts the
-    garbage collector.
     """
     n = len(grid)
-    full = (1 << n) - 1
     row_used = [0] * n
     col_used = [0] * n
     for i, row in enumerate(grid):
@@ -133,32 +138,69 @@ def _completions(grid: list[list[int]], visit=None) -> int:
             if v:
                 row_used[i] |= 1 << (v - 1)
                 col_used[j] |= 1 << (v - 1)
-    empty = [(grid[i], i, j) for i in range(n - 1) for j in range(n) if not grid[i][j]]
-    last = grid[-1]
-    forced = [j for j in range(n) if not last[j]]
+    empty = [(i, j) for i in range(n - 1) for j in range(n) if not grid[i][j]]
+    forced = [j for j, v in enumerate(grid[-1]) if not v]
+    return _search(grid, row_used, col_used, empty, forced, visit)
 
-    def fill(k: int) -> int:
-        if k == len(empty):
+
+def _search(grid, row_used, col_used, empty, forced, visit=None) -> int:
+    """Fill ``grid`` in place by depth-first search and count the fills, as
+    ``_completions`` describes. ``row_used[i]`` and ``col_used[j]`` are the
+    packed fixed symbols of row i and column j, ``empty`` the (i, j) zero
+    cells of rows 1..n-1 in row-major order, and ``forced`` the columns of
+    the last row's zero cells. ``col_used`` is updated in place and
+    restored.
+
+    Only rows 1..n-1 are searched. Once each of them is a permutation,
+    every symbol is missing from exactly one column, and a symbol kept in
+    the last row is missing only from its own column, since the search
+    keeps it out of that column. So each zero cell of the last row takes
+    the one symbol its column lacks, and the last row is a permutation:
+    every fill of rows 1..n-1 completes, exactly once.
+
+    The current row's symbols ride down the recursion as ``used``: the
+    record of a row's first zero cell holds that row's fixed symbols, and
+    ``used`` restarts from them there, so a tried symbol updates only its
+    column's mask.
+
+    ``fill`` calls itself, so it holds itself through its closure cell, and
+    with it the masks and the cell list.  Its name is deleted once the
+    search ends, so the search leaves no reference cycle: reference
+    counting frees it at once, and a loop of searches never starts the
+    garbage collector.
+    """
+    full = (1 << len(grid)) - 1
+    last = grid[-1]
+    cells = []
+    previous = None  # the row of the cell before
+    for i, j in empty:
+        cells.append((grid[i], j, row_used[i] if i != previous else None))
+        previous = i
+    depth = len(cells)
+
+    def fill(k: int, used: int) -> int:
+        if k == depth:
             for j in forced:
                 last[j] = (full ^ col_used[j]).bit_length()
             if visit is not None:
                 visit(grid)
             return 1
-        row, i, j = empty[k]
+        row, j, start = cells[k]
+        if start is not None:
+            used = start
+        column = col_used[j]
+        avail = full ^ (used | column)
         found = 0
-        avail = full ^ (row_used[i] | col_used[j])
         while avail:
             bit = avail & -avail
             avail ^= bit
             row[j] = bit.bit_length()
-            row_used[i] |= bit
-            col_used[j] |= bit
-            found += fill(k + 1)
-            row_used[i] ^= bit
-            col_used[j] ^= bit
+            col_used[j] = column | bit
+            found += fill(k + 1, used | bit)
+        col_used[j] = column
         return found
 
     try:
-        return fill(0)
+        return fill(0, 0)
     finally:
         del fill  # break the cycle through fill's closure cell

@@ -77,6 +77,26 @@ MUTANTS = (
         ("tests/test_oracle_enum.py::test_completions_of_blanked_squares",),
     ),
     Mutant(
+        "row-symbols-carried-across-rows",
+        "oracle_enum.py",
+        "        if start is not None:\n            used = start\n",
+        "",
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
+            "tests/test_oracle_enum.py::test_extensions_depend_only_on_cycle_type[5]",
+        ),
+    ),
+    Mutant(
+        "column-mask-misses-sigma",
+        "oracle_enum.py",
+        "1 << j | 1 << (second[j] - 1)",
+        "1 << j",
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
+            "tests/test_oracle_enum.py::test_extensions_depend_only_on_cycle_type[5]",
+        ),
+    ),
+    Mutant(
         "search-cycle-left-behind",
         "oracle_enum.py",
         "        del fill  #",

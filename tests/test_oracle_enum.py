@@ -25,8 +25,10 @@ from conftest import cycle_type
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
 DERANGEMENTS = {1: 0, 2: 1, 3: 2, 4: 9, 5: 44, 6: 265, 7: 1854}
-# E' of each derangement type at orders 4-6
+# E' of each derangement type at orders 2-6
 EXTENSIONS = {
+    2: {(2,): 1},
+    3: {(3,): 1},
     4: {(4,): 1, (2, 2): 2},
     5: {(5,): 6, (2, 3): 4},
     6: {(6,): 168, (2, 4): 176, (3, 3): 192, (2, 2, 2): 224},
@@ -159,10 +161,12 @@ def test_completions_of_blanked_squares(n):
     assert last_row_kept == set(range(n + 1))
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_extensions_depend_only_on_cycle_type(n):
     """E'(σ) equals E' of its type's canonical row for every derangement σ,
-    and each type holds _class_size derangements."""
+    and each type holds _class_size derangements. Orders 2 and 3 are the
+    edges of the state _extensions builds: at order 2 nothing is searched
+    or forced, and at order 3 only the last row is forced."""
     canonical = {parts: _extensions(_cycle_row(parts)) for parts in _derangement_types(n)}
     assert all(cycle_type(_cycle_row(parts)) == parts for parts in canonical)
     by_type = Counter()
