@@ -414,7 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         # a write refused for want of a reader or of room leaves its bytes
         # buffered: drop them, so that the flush at exit cannot fail too
         if isinstance(exc, OSError) and exc.errno in (errno.EPIPE, errno.ENOSPC):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         line = " ".join(map(_cut, f"error: {exc}".split()))
         try:  # a stderr that is closed or failing still leaves exit 2
             print(_cut(line, LINE_BYTES), file=_std("stderr"))

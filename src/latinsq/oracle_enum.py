@@ -8,9 +8,11 @@ of the generator's machinery. It searches rows 1..n-1 only: once they are
 permutations, each column lacks exactly one symbol and those symbols form
 the last row, so every cell of the last row is forced. The search carries
 the current row's symbols down the recursion as one packed word, so a
-tried symbol updates only its column's word. Counting runs that search
-once per cycle type of the second row, from a state written down from
-that row alone; a partly filled grid gets its state from one scan.
+tried symbol updates only its column's word. It is a module-level function
+that takes its state as arguments, so it holds no reference to itself, and
+its state is freed when it returns. Counting runs that search once per
+cycle type of the second row, from a state written down from that row
+alone; a partly filled grid gets its state from one scan.
 """
 
 from math import factorial, prod
@@ -158,49 +160,44 @@ def _search(grid, row_used, col_used, empty, forced, visit=None) -> int:
     the one symbol its column lacks, and the last row is a permutation:
     every fill of rows 1..n-1 completes, exactly once.
 
-    The current row's symbols ride down the recursion as ``used``: the
-    record of a row's first zero cell holds that row's fixed symbols, and
-    ``used`` restarts from them there, so a tried symbol updates only its
-    column's mask.
-
-    ``fill`` calls itself, so it holds itself through its closure cell, and
-    with it the masks and the cell list.  Its name is deleted once the
-    search ends, so the search leaves no reference cycle: reference
-    counting frees it at once, and a loop of searches never starts the
-    garbage collector.
+    Each zero cell becomes a record ``(row, j, start)`` for ``_fill``:
+    the grid row it lies in, its column, and, at a row's first zero cell
+    only, that row's fixed symbols (None elsewhere).
     """
-    full = (1 << len(grid)) - 1
-    last = grid[-1]
     cells = []
     previous = None  # the row of the cell before
     for i, j in empty:
         cells.append((grid[i], j, row_used[i] if i != previous else None))
         previous = i
-    depth = len(cells)
+    return _fill(0, 0, cells, col_used, (1 << len(grid)) - 1, forced, grid, visit)
 
-    def fill(k: int, used: int) -> int:
-        if k == depth:
-            for j in forced:
-                last[j] = (full ^ col_used[j]).bit_length()
-            if visit is not None:
-                visit(grid)
-            return 1
-        row, j, start = cells[k]
-        if start is not None:
-            used = start
-        column = col_used[j]
-        avail = full ^ (used | column)
-        found = 0
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            row[j] = bit.bit_length()
-            col_used[j] = column | bit
-            found += fill(k + 1, used | bit)
-        col_used[j] = column
-        return found
 
-    try:
-        return fill(0, 0)
-    finally:
-        del fill  # break the cycle through fill's closure cell
+def _fill(k, used, cells, col_used, full, forced, grid, visit) -> int:
+    """Count the fills of ``cells[k:]``, the records that ``_search``
+    builds, with ``used`` the packed symbols of the current row so far.
+    The current row's symbols ride down the recursion as ``used``: it
+    restarts from a record's ``start`` at a row's first zero cell, so a
+    tried symbol updates only its column's mask. Past the last record the
+    last row's ``forced`` cells are written and ``visit(grid)`` is called.
+    """
+    if k == len(cells):
+        last = grid[-1]
+        for j in forced:
+            last[j] = (full ^ col_used[j]).bit_length()
+        if visit is not None:
+            visit(grid)
+        return 1
+    row, j, start = cells[k]
+    if start is not None:
+        used = start
+    column = col_used[j]
+    avail = full ^ (used | column)
+    found = 0
+    while avail:
+        bit = avail & -avail
+        avail ^= bit
+        row[j] = bit.bit_length()
+        col_used[j] = column | bit
+        found += _fill(k + 1, used | bit, cells, col_used, full, forced, grid, visit)
+    col_used[j] = column
+    return found

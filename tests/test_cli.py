@@ -285,6 +285,42 @@ def test_output_into_a_full_device_ends_in_one_error_line(argv, buffered):
     assert done.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
 
 
+def _failing_stdout(target):
+    """A fresh text file on which every write fails: the write end of a
+    pipe whose read end is closed, or Linux's ``/dev/full``."""
+    if target == "full-device":
+        return open("/dev/full", "w")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="counts Linux's /proc/self/fd")
+@pytest.mark.parametrize(
+    "target",
+    [
+        "closed-pipe",
+        pytest.param(
+            "full-device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full"),
+        ),
+    ],
+)
+def test_a_failed_write_leaves_no_descriptor_open(monkeypatch, target):
+    """After a write refused with EPIPE or ENOSPC, ``main`` points stdout's
+    descriptor at the null device through a descriptor that it closes
+    again, so requests in a loop open no more descriptors.  The count of
+    open descriptors is the probe: the lowest free one would miss the
+    leak into ``/dev/full``, whose own descriptor is freed again."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with _failing_stdout(target) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["count", "--order", "3"]) == 2
+        monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_unbuffered_help_into_a_closed_pipe_ends_in_one_error_line():
     read_end, write_end = os.pipe()
     os.close(read_end)
