@@ -45,6 +45,7 @@ import argparse
 import errno
 import functools
 import os
+import re
 import sys
 import time
 
@@ -117,6 +118,8 @@ def _parse_text(text: str, exponential: bool):
                 row = [table.get(str(int(token)), 0) for token in tokens]
             except ValueError:  # the row may be huge: only its start can be quoted
                 quoted = _quote(line.strip()[:QUOTE_BYTES])
+                if limit := _digit_limit_passed(tokens):
+                    raise MalformedMatrix(f"number of more than {limit} digits in row: {quoted}") from None
                 raise MalformedMatrix(f"not an integer row: {quoted}") from None
         rows.append(row)
         lines.append(line)
@@ -125,12 +128,25 @@ def _parse_text(text: str, exponential: bool):
     yield rows, lines, numbered
 
 
+def _digit_limit_passed(tokens) -> int:
+    """The most digits ``int`` reads, if some token is a decimal of more; else
+    0, as where there is no limit.  The limit is process-wide: it is only read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    decimal = re.compile(r"[+-]?\d+(_\d+)*")  # as int spells one
+    return limit if any(sum(map(str.isdecimal, t)) > limit and decimal.fullmatch(t) for t in tokens) else 0
+
+
 def _parse_json(text: str) -> list[list[list[int]]]:
     import json  # only JSON input loads it, to keep start-up short
     try:
         data = json.loads(text)
     except RecursionError:
         raise MalformedMatrix("JSON input is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # not json's own error: int refused a number for its digits alone
+        limit = sys.get_int_max_str_digits()
+        raise MalformedMatrix(f"JSON input holds a number of more than {limit} digits") from None
     items = data if isinstance(data, list) else [data]
     matrices = []
     for item in items:

@@ -2,17 +2,13 @@
 
 Ground truth for counting and reachability tests, kept deliberately
 independent of the random generator: one plain recursive depth-first
-search that completes a partly filled grid cell by cell in row-major
-order, trying symbols in ascending order, with packed-set pruning but none
-of the generator's machinery. It searches rows 1..n-1 only: once they are
-permutations, each column lacks exactly one symbol and those symbols form
-the last row, so every cell of the last row is forced. The search carries
-the current row's symbols down the recursion as one packed word, so a
-tried symbol updates only its column's word. It is a module-level function
-that takes its state as arguments, so it holds no reference to itself, and
-its state is freed when it returns. Counting runs that search once per
-cycle type of the second row, from a state written down from that row
-alone; a partly filled grid gets its state from one scan.
+search, ``_fill``, that completes a partly filled grid cell by cell in
+row-major order, trying symbols in ascending order, with packed-set
+pruning but none of the generator's machinery. Its state is one record
+per cell to fill and one packed word per column, passed as arguments, so
+it holds no reference to itself and is freed when it returns. Counting
+runs it once per cycle type of the second row, with the records written
+down from that row alone; a partly filled grid gets them from one scan.
 """
 
 from math import factorial, prod
@@ -103,21 +99,20 @@ def _extensions(second: list[int]) -> int:
     """E'(σ): the completions of the grid with row 1 the identity, row 2
     ``second`` and column 1 of rows 3..n the other symbols ascending.
 
-    The search state is written down from σ, in O(n), with no scan of the
-    grid: rows 1 and 2 and column 1 are full, row i below them holds only
-    its column-1 symbol, and column j holds j and σ(j). Rows 3..n-1 are
-    searched from column 2 on, and the last row's cells in columns 2..n
-    are forced; at n = 2 the last row is σ itself, and nothing is forced.
+    ``_fill``'s records are written down from σ, in O(n), with no scan of
+    the grid: rows 1 and 2 and column 1 are full, so rows 3..n-1 are
+    searched from column 2 on, each starting from its column-1 symbol, and
+    column j holds j and σ(j). The last row's cells in columns 2..n are
+    forced; at n = 2 the last row is σ itself, and nothing is forced.
     """
     n = len(second)
     full = (1 << n) - 1
     below = [s for s in range(2, n + 1) if s != second[0]]
     grid = [list(range(1, n + 1)), list(second)] + [[s] + [0] * (n - 1) for s in below]
-    row_used = [full, full] + [1 << (s - 1) for s in below]
     col_used = [full] + [1 << j | 1 << (second[j] - 1) for j in range(1, n)]
-    empty = [(i, j) for i in range(2, n - 1) for j in range(1, n)]
+    cells = [(row, j, 1 << (row[0] - 1) if j == 1 else None) for row in grid[2:-1] for j in range(1, n)]
     forced = range(1, n) if n > 2 else ()
-    return _search(grid, row_used, col_used, empty, forced)
+    return _fill(0, 0, cells, col_used, full, forced, grid, None)
 
 
 def _completions(grid: list[list[int]], visit=None) -> int:
@@ -126,59 +121,47 @@ def _completions(grid: list[list[int]], visit=None) -> int:
     in lexicographic row-major order; the nonzero cells stay fixed, and
     must not repeat a symbol in a row or column themselves.
 
-    One scan of the grid gives ``_search`` its state: each row's and each
-    column's fixed symbols as packed masks, the zero cells of rows 1..n-1
-    in row-major order, and the zero cells of the last row.
+    One scan of the grid writes ``_fill``'s records and column masks.
 
     The grid is filled in place, so copy a visited grid to keep it.
     """
     n = len(grid)
-    row_used = [0] * n
     col_used = [0] * n
+    cells = []
     for i, row in enumerate(grid):
+        start = 0
         for j, v in enumerate(row):
             if v:
-                row_used[i] |= 1 << (v - 1)
+                start |= 1 << (v - 1)
                 col_used[j] |= 1 << (v - 1)
-    empty = [(i, j) for i in range(n - 1) for j in range(n) if not grid[i][j]]
+        if i == n - 1:  # the last row is forced, not searched
+            break
+        for j, v in enumerate(row):
+            if not v:
+                cells.append((row, j, start))
+                start = None
     forced = [j for j, v in enumerate(grid[-1]) if not v]
-    return _search(grid, row_used, col_used, empty, forced, visit)
-
-
-def _search(grid, row_used, col_used, empty, forced, visit=None) -> int:
-    """Fill ``grid`` in place by depth-first search and count the fills, as
-    ``_completions`` describes. ``row_used[i]`` and ``col_used[j]`` are the
-    packed fixed symbols of row i and column j, ``empty`` the (i, j) zero
-    cells of rows 1..n-1 in row-major order, and ``forced`` the columns of
-    the last row's zero cells. ``col_used`` is updated in place and
-    restored.
-
-    Only rows 1..n-1 are searched. Once each of them is a permutation,
-    every symbol is missing from exactly one column, and a symbol kept in
-    the last row is missing only from its own column, since the search
-    keeps it out of that column. So each zero cell of the last row takes
-    the one symbol its column lacks, and the last row is a permutation:
-    every fill of rows 1..n-1 completes, exactly once.
-
-    Each zero cell becomes a record ``(row, j, start)`` for ``_fill``:
-    the grid row it lies in, its column, and, at a row's first zero cell
-    only, that row's fixed symbols (None elsewhere).
-    """
-    cells = []
-    previous = None  # the row of the cell before
-    for i, j in empty:
-        cells.append((grid[i], j, row_used[i] if i != previous else None))
-        previous = i
-    return _fill(0, 0, cells, col_used, (1 << len(grid)) - 1, forced, grid, visit)
+    return _fill(0, 0, cells, col_used, (1 << n) - 1, forced, grid, visit)
 
 
 def _fill(k, used, cells, col_used, full, forced, grid, visit) -> int:
-    """Count the fills of ``cells[k:]``, the records that ``_search``
-    builds, with ``used`` the packed symbols of the current row so far.
-    The current row's symbols ride down the recursion as ``used``: it
-    restarts from a record's ``start`` at a row's first zero cell, so a
-    tried symbol updates only its column's mask. Past the last record the
-    last row's ``forced`` cells are written and ``visit(grid)`` is called.
+    """Count the fills of ``cells[k:]`` by depth-first search, writing
+    each into ``grid`` in place, as ``_completions`` describes; ``used``
+    holds the current row's symbols so far.
+
+    A record ``(row, j, start)`` is one zero cell of rows 1..n-1, in
+    row-major order: its grid row, its column, and, at a row's first zero
+    cell only, that row's fixed symbols (None elsewhere), from which
+    ``used`` restarts. So a tried symbol updates only ``col_used[j]``, the
+    packed symbols of column j, which is restored before the return.
+
+    Only rows 1..n-1 are searched. Once each is a permutation, every symbol
+    is missing from exactly one column, and a symbol kept in the last row
+    is missing only from its own column, since the search keeps it out of
+    that column. So each of the last row's zero cells, in the columns
+    ``forced``, takes the one symbol its column lacks, and every fill of
+    rows 1..n-1 completes, exactly once: past the last record those cells
+    are written and ``visit(grid)`` is called.
     """
     if k == len(cells):
         last = grid[-1]

@@ -97,6 +97,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "extensions-row-start-off-column-2",
+        "oracle_enum.py",
+        "if j == 1 else None",
+        "if j == 2 else None",
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[4]",
+            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
+        ),
+    ),
+    Mutant(
+        "completions-row-start-kept-past-the-first-zero",
+        "oracle_enum.py",
+        "                start = None\n",
+        "",
+        ("tests/test_oracle_enum.py::test_completions_of_blanked_squares",),
+    ),
+    Mutant(
         "error-keeps-the-exception",
         "cli.py",
         'f"error: {exc}"',
@@ -244,6 +261,17 @@ MUTANTS = (
         "        if not extra:\n            return args\n",
         "        return args\n",
         ("tests/test_cli_fuzz.py::test_command_parser_agrees_with_the_full_parser",),
+    ),
+    Mutant(
+        "over-long-number-called-no-integer",
+        "cli.py",
+        "                if limit := _digit_limit_passed(tokens):\n"
+        '                    raise MalformedMatrix(f"number of more than {limit} digits in row: {quoted}") from None\n',
+        "",
+        (
+            "tests/test_cli.py::test_invalid_square_is_reported_before_a_later_malformed_block[past-the-digit-limit-validate]",
+            "tests/test_cli.py::test_invalid_square_is_reported_before_a_later_malformed_block[signed-grouped-past-the-digit-limit-convert-to-grid]",
+        ),
     ),
     Mutant(
         "every-exponential-row-taken-as-decoded",

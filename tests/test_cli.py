@@ -742,17 +742,33 @@ def test_streaming_read_path_matches_the_whole_file_reference(blocks, gaps, argv
     assert _call(argv, text) == want
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: int reads any number
+AT_LIMIT, PAST_LIMIT = "9" * DIGIT_LIMIT, "9" * (DIGIT_LIMIT + 1)
+PAST_MESSAGE = f"number of more than {DIGIT_LIMIT} digits in row: "
+LIMITED = pytest.mark.skipif(not DIGIT_LIMIT, reason="int reads any number of digits")
 HUGE_ROW = " ".join(["9" * 5000] * 65) + "\n"  # oversized, and no token int reads
 LATER_BLOCKS = [
     pytest.param("x\n", "not an integer row: 'x'", id="token"),
     pytest.param(
         "9" * 5000 + "\n",
-        f"not an integer row: '{'9' * 76}...",
+        f"{PAST_MESSAGE}'{'9' * 76}...",
         id="5000-digits",
         marks=pytest.mark.skipif(
             not hasattr(sys, "get_int_max_str_digits"), reason="int reads any number of digits"
         ),
     ),
+    # int refuses a number past its digit limit, and the line says so
+    pytest.param(
+        f"1 {PAST_LIMIT}\n", PAST_MESSAGE + cut(repr("1 " + PAST_LIMIT)), id="past-the-digit-limit", marks=LIMITED
+    ),
+    pytest.param(
+        f"1 -{AT_LIMIT}_9\n",
+        PAST_MESSAGE + cut(repr(f"1 -{AT_LIMIT}_9")),
+        id="signed-grouped-past-the-digit-limit",
+        marks=LIMITED,
+    ),
+    pytest.param(f"1 {PAST_LIMIT}x\n", "not an integer row: " + cut(repr(f"1 {PAST_LIMIT}x")), id="digits-then-x"),
+    pytest.param("1 " + "x" * 5000 + "\n", "not an integer row: " + cut(repr("1 " + "x" * 5000)), id="5000-x"),
     pytest.param("1\n" * 65, "input square is larger than 64 x 64", id="65-rows"),
     pytest.param(HUGE_ROW, "input square is larger than 64 x 64", id="65-huge-tokens"),
 ]
@@ -794,6 +810,7 @@ def test_refused_row_is_quoted_within_a_short_line(row, quoted):
 
 NINES = "9" * 4000  # int reads it; it is no symbol and no power of two
 CUT_NINES = "9" * 77 + "..."
+JSON_SQUARE = '{"order": 2, "cells": [[1, %s], [2, 1]]}'
 LONG_VALUES = [
     pytest.param(f"1 {NINES}\n2 1\n", 1, f"row 1 contains {CUT_NINES}, outside 1..2", id="text"),
     pytest.param(
@@ -801,6 +818,19 @@ LONG_VALUES = [
         1,
         f"row 1 contains {CUT_NINES}, outside 1..2",
         id="json-int",
+    ),
+    pytest.param(
+        f"1 {AT_LIMIT}\n2 1\n", 1, f"row 1 contains {CUT_NINES}, outside 1..2", id="text-at-the-digit-limit", marks=LIMITED
+    ),
+    pytest.param(
+        JSON_SQUARE % AT_LIMIT, 1, f"row 1 contains {CUT_NINES}, outside 1..2", id="json-at-the-digit-limit", marks=LIMITED
+    ),
+    pytest.param(
+        JSON_SQUARE % PAST_LIMIT,
+        2,
+        f"JSON input holds a number of more than {DIGIT_LIMIT} digits",
+        id="json-past-the-digit-limit",
+        marks=LIMITED,
     ),
     pytest.param(
         json.dumps({"order": 2, "cells": [[1, "x" * 5000], [2, 1]]}),
