@@ -4,6 +4,9 @@ type of a permutation."""
 
 import pytest
 
+# cli_cases.py asserts for the tests that run its rows
+pytest.register_assert_rewrite("cli_cases")
+
 # Reference 12x12 exponential Latin square used across the suite.
 ORDER12_EXP = (
     (32, 1, 16, 8, 512, 256, 2048, 128, 2, 1024, 4, 64),

@@ -269,8 +269,8 @@ MUTANTS = (
         '                    raise MalformedMatrix(f"number of more than {limit} digits in row: {quoted}") from None\n',
         "",
         (
-            "tests/test_cli.py::test_invalid_square_is_reported_before_a_later_malformed_block[past-the-digit-limit-validate]",
-            "tests/test_cli.py::test_invalid_square_is_reported_before_a_later_malformed_block[signed-grouped-past-the-digit-limit-convert-to-grid]",
+            "tests/test_cli.py::test_invalid_square_is_reported_before_a_later_malformed_block[past-the-digit-limit-refused-validate]",
+            "tests/test_cli.py::test_invalid_square_is_reported_before_a_later_malformed_block[signed-grouped-past-the-digit-limit-refused-convert-to-grid]",
         ),
     ),
     Mutant(

@@ -12,7 +12,6 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from latinsq.cli import main
 from latinsq.latin_gen import generate
 from latinsq.mask_set import (
     SubsetMask,
@@ -26,6 +25,7 @@ from latinsq.oracle_enum import count_all, enumerate_all
 from latinsq.rng_choice import RandomSource, choice
 from latinsq.validator import is_exponential_latin, is_latin
 
+from cli_cases import in_process
 from conftest import ORDER12_EXP
 
 SWEEP_ORDERS = range(1, 13)
@@ -73,7 +73,7 @@ def test_criterion_2_generation_soundness(generation_sweep):
     )
 
 
-def test_criterion_3_cli_determinism(capsys):
+def test_criterion_3_cli_determinism():
     pairs = [(n, 1000 + 7 * n) for n in SWEEP_ORDERS] + [
         (3, 1),
         (5, 2),
@@ -87,20 +87,10 @@ def test_criterion_3_cli_determinism(capsys):
     assert len(pairs) == 20
     formats = ("grid", "exp", "json")
     for idx, (order, seed) in enumerate(pairs):
-        argv = [
-            "generate",
-            "--order",
-            str(order),
-            "--seed",
-            str(seed),
-            "--format",
-            formats[idx % 3],
-        ]
-        assert main(list(argv)) == 0
-        first = capsys.readouterr().out
-        assert main(list(argv)) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        argv = ["generate", "--order", str(order), "--seed", str(seed), "--format", formats[idx % 3]]
+        first = in_process(argv)
+        assert first[0] == 0
+        assert in_process(argv) == first
     print("[PASS] criterion 3: 20 (order, seed) pairs re-run byte-identical")
 
 

@@ -11,14 +11,15 @@ set-based oracle kept in this file.
 
 import io
 import json
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinsq.cli import _build_parser, _parse, main
+from latinsq.cli import _build_parser, _parse
+
+from cli_cases import in_process
 
 # ---------------------------------------------------------------- oracle
 
@@ -136,17 +137,6 @@ inputs = st.one_of(
 # ---------------------------------------------------------------- properties
 
 
-def run(argv, text):
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
 def assert_one_line_at_most(code, err):
     assert code in (0, 1, 2)
     if code == 2:
@@ -157,7 +147,7 @@ def assert_one_line_at_most(code, err):
 @settings(max_examples=300, deadline=None)
 @given(inputs, st.booleans())
 def test_validate_fuzz(text, exp):
-    code, out, err = run(["validate", "-"] + ["--exp"] * exp, text)
+    code, out, err = in_process(["validate", "-"] + ["--exp"] * exp, text)
     assert_one_line_at_most(code, err)
     assert (code == 0) == oracle_is_latin(text, exp)
     if code != 2:
@@ -167,7 +157,7 @@ def test_validate_fuzz(text, exp):
 @settings(max_examples=300, deadline=None)
 @given(inputs, st.sampled_from(["exp", "grid"]))
 def test_convert_fuzz(text, to):
-    code, out, err = run(["convert", "-", "--to", to], text)
+    code, out, err = in_process(["convert", "-", "--to", to], text)
     assert_one_line_at_most(code, err)
     # text input is taken to be in the form opposite the target
     assert (code == 0) == oracle_is_latin(text, to == "grid")
@@ -242,7 +232,7 @@ argvs = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(argvs, inputs)
 def test_argv_fuzz(argv, text):
-    code, out, err = run(argv, text)
+    code, out, err = in_process(argv, text)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
