@@ -29,13 +29,16 @@ class RandomSource:
         """Uniform integer in [0, bound), bias-free.
 
         Draws just enough bits to cover the range and rejects overshoot,
-        so every value is exactly equally likely.
+        so every value is exactly equally likely.  Only an int is a bound.
         """
-        if bound < 2:  # one test on the hot path; bound 1 draws nothing
-            if bound == 1:
-                return 0
-            raise InvalidBound(f"bound must be >= 1, got {_quote(bound)}")
-        width = (bound - 1).bit_length()
+        try:  # free unless raised, so an int bound of 2 or more pays no type test
+            if bound < 2:  # one test on the hot path; bound 1 draws nothing
+                if bound == 1 and type(bound) is int:
+                    return 0
+                raise ValueError(bound)
+            width = (bound - 1).bit_length()
+        except (ValueError, TypeError, AttributeError, ArithmeticError):  # below 1, or no int at all
+            raise InvalidBound(f"bound must be >= 1, got {_quote(bound)}") from None
         while True:
             value = self._rng.getrandbits(width)
             if value < bound:

@@ -70,6 +70,20 @@ MUTANTS = (
         ("tests/test_latin_gen.py::test_repair_draws_every_candidate_equally_often",),
     ),
     Mutant(
+        "repair-writes-legal",
+        "latin_gen.py",
+        "            unqueued ^= held\n",
+        "            unqueued ^= held\n            legal[x] ^= held\n",
+        ("tests/test_latin_gen.py::test_repair_draws_every_candidate_equally_often",),
+    ),
+    Mutant(
+        "repair-returns-no-symbol",
+        "latin_gen.py",
+        "    return entering\n",
+        "    return bit\n",
+        ("tests/test_latin_gen.py::test_repair_draws_every_candidate_equally_often",),
+    ),
+    Mutant(
         "last-row-left-unwritten",
         "oracle_enum.py",
         "last[j] = (full ^ col_used[j]).bit_length()",

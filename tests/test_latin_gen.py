@@ -68,7 +68,7 @@ def test_repair_shifts_symbols_along_the_drawn_path(draw, expected):
     # under the row 1 2 3, the partial row 2 1 _ leaves no symbol for the last cell
     row = [0b010, 0b001, 0]
     src = Script([draw, 0, 0])
-    assert _repair_row(row, 2, [0b001, 0b010, 0b100], 0b111, src) == 0b100
+    assert _repair_row(row, 2, [0b110, 0b101, 0b011], 0b100, src) == 0b100
     # reached columns with a free symbol: the second, then the first (symbol 3 each);
     # then the odds draw and the draw of that one symbol
     assert src.bounds == [2, 1, 1]
@@ -79,9 +79,13 @@ def _repair_odds(symbols, column_sets, n):
     """Each row ``_repair_row`` makes of the partial row ``symbols``, whose
     next cell has no legal symbol under columns holding ``column_sets``,
     with its probability summed over every draw path that keeps the first
-    column drawn."""
+    column drawn.  On every path, ``legal`` is left as it was and the
+    symbol returned is one of those the row did not hold."""
     c = len(symbols)
-    col_used = [sum(1 << (s - 1) for s in column) for column in column_sets[: c + 1]]
+    full = (1 << n) - 1
+    legal = [full ^ sum(1 << (s - 1) for s in column) for column in column_sets[: c + 1]]
+    missing = full ^ sum(1 << (s - 1) for s in symbols)
+    kept = list(legal)
     odds = Counter()
     scripts = [[]]
     while scripts:
@@ -89,11 +93,13 @@ def _repair_odds(symbols, column_sets, n):
         row = [1 << (s - 1) for s in symbols] + [0] * (n - c)
         src = Script(script)
         try:
-            _repair_row(row, c, col_used, (1 << n) - 1, src)
+            entering = _repair_row(row, c, legal, missing, src)
         except LookupError:
             if len(script) < 3:  # one column draw, one odds draw, one symbol draw
                 scripts.extend(script + [v] for v in range(src.bounds[-1]))
             continue  # longer scripts follow a rejected column draw
+        assert legal == kept  # generate fills the rest of the row from it
+        assert entering.bit_count() == 1 and entering & missing
         odds[tuple(map(int.bit_length, row[: c + 1]))] += Fraction(1, math.prod(src.bounds))
     return odds
 
@@ -136,7 +142,8 @@ def test_repair_draws_every_candidate_equally_often():
     assert len(odds) == 5
     assert set(odds.values()) == {Fraction(1, 6)}  # accepted 5/6 of the time
     # at every dead end the sampler meets at orders 4 and 5, exactly the
-    # candidates of the law's own search are drawn, each equally often
+    # candidates of the law's own search are drawn, each equally often, and
+    # on every draw path legal is kept and the symbol returned was missing
     for n, count in ((4, 216), (5, 23_100)):
         ends = _dead_ends(n)
         assert len(ends) == count

@@ -3,7 +3,9 @@
 import copy
 import pickle
 import random
+import re
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 from scipy import stats
@@ -33,6 +35,26 @@ def test_next_below_invalid_bound():
         src.next_below(0)
     with pytest.raises(InvalidBound):
         src.next_below(-3)
+
+
+@pytest.mark.parametrize(
+    "bound, quoted",
+    [
+        (True, "True"),
+        (False, "False"),
+        (2.5, "2.5"),
+        (1.0, "1.0"),
+        (8.0, "8.0"),
+        ("3", "'3'"),
+        (None, "None"),
+        (Decimal("NaN"), "Decimal('NaN')"),  # its order against 2 raises InvalidOperation
+    ],
+    ids=["true", "false", "float", "float-one", "float-whole", "str", "none", "decimal-nan"],
+)
+def test_next_below_refuses_a_bound_that_is_not_an_int(bound, quoted):
+    # refused as a seed is: a bool, float, str, None or Decimal is no bound
+    with pytest.raises(InvalidBound, match=rf"^bound must be >= 1, got {re.escape(quoted)}$"):
+        RandomSource(0).next_below(bound)
 
 
 def test_next_below_one_is_zero():
