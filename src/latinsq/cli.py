@@ -15,11 +15,14 @@ each power, which is v.  A token
 the table lacks (``+4``, ``04``, ``1_0``) is read by ``int`` and looked
 up again by its decimal; a value the table lacks becomes 0.
 
-``generate`` streams: each square is drawn, rendered and written before
-the next is drawn, so a batch holds one square in memory, and a closed
-pipe ends it at the next write.  JSON output spells its symbols through
-``_GRID_TEXT``, byte for byte as ``json.dumps`` spells the payload, so
-only JSON input loads ``json``.
+``generate`` streams: square i of a batch is drawn from ``seed + i``, and
+each square is written once it and those before it are drawn, so a
+closed pipe ends the batch at the next write.  A batch of at least
+``2 * CELLS_PER_PROCESS`` cells is shared across the usable CPUs: forked
+workers draw interleaved squares and send each back through a pipe as
+soon as it is rendered, so each process holds one square and a pipe.
+JSON output spells its symbols through ``_GRID_TEXT``, byte for byte as
+``json.dumps`` spells the payload, so only JSON input loads ``json``.
 
 ``validate`` and ``convert`` read text input square by square: each block
 is parsed and decided by ``is_packed_latin`` (n x n, every row and column
@@ -234,6 +237,68 @@ def _base_source(args) -> RandomSource:
     return base
 
 
+CELLS_PER_PROCESS = 4096  # the least drawing, about 4 ms, that pays for a fork and its reaping
+
+
+def _processes(count: int, order: int) -> int:
+    """How many processes draw a batch: one per usable CPU, so long as
+    each has ``CELLS_PER_PROCESS`` cells to draw; one where there is no
+    ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, count * order * order // CELLS_PER_PROCESS))
+
+
+def _fork_worker(readers: list, k: int, count: int, draw) -> int | None:
+    """Fork worker k of the ``len(readers)`` processes drawing a batch of
+    ``count``: it writes squares k, k + len(readers), ... as ``draw``
+    renders them to its own pipe, each as a 4-byte length and its UTF-8,
+    flushed square by square.  Set ``readers[k]`` to the pipe's read end
+    and return the worker's pid; return None where the fork fails, so
+    that this process draws worker k's squares itself."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        readers[k] = open(read_end, "rb")
+        return pid
+    # the worker writes no standard stream, and leaves by os._exit however
+    # it ends, so that no traceback, exit handler or buffer of the parent's
+    # is written twice; a write after the parent has gone fails with EPIPE
+    status = 1
+    try:
+        os.close(read_end)
+        for reader in readers:
+            if reader is not None:
+                reader.close()
+        with open(write_end, "wb") as pipe:
+            for i in range(k, count, len(readers)):
+                data = draw(i).encode()
+                pipe.write(len(data).to_bytes(4, "big"))
+                pipe.write(data)
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _frame(reader) -> str:
+    """The next square a worker wrote to ``reader``."""
+    head = reader.read(4)
+    if len(head) == 4:
+        size = int.from_bytes(head, "big")
+        data = reader.read(size)
+        if len(data) == size:
+            return data.decode()
+    raise OSError("a generating process ended early")
+
+
 def _cmd_generate(args) -> int:
     base = _base_source(args)
     if args.format == "json":
@@ -244,16 +309,35 @@ def _cmd_generate(args) -> int:
         names = _EXP_TEXT if args.format == "exp" else _GRID_TEXT
         render = functools.partial(_render_text, names=names)
         opening, separator, closing = "", "\n", ""
-    write = sys.stdout.write
-    write(opening)
+
     # one derived source per square (seed + index) so any square in a
-    # batch can be regenerated on its own; each is written before the
-    # next is drawn, so a batch holds one square at a time
-    for i in range(args.count):
-        if i:
-            write(separator)
-        write(render(generate(args.order, base.spawn(i)).square.cells))
-    write(closing)
+    # batch can be regenerated on its own, whichever process draws it
+    def draw(i):
+        return render(generate(args.order, base.spawn(i)).square.cells)
+
+    # square i is drawn by process i % len(readers): this one is process 0,
+    # and each other has a pipe, read square by square as each is written
+    readers = [None] * _processes(args.count, args.order)
+    pids = []
+    try:
+        for k in range(1, len(readers)):
+            pid = _fork_worker(readers, k, args.count, draw)
+            if pid is not None:
+                pids.append(pid)
+        write = sys.stdout.write
+        write(opening)
+        for i in range(args.count):
+            if i:
+                write(separator)
+            reader = readers[i % len(readers)]
+            write(draw(i) if reader is None else _frame(reader))
+        write(closing)
+    finally:
+        for reader in readers:
+            if reader is not None:
+                reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     return EXIT_OK
 
 

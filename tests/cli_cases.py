@@ -8,7 +8,9 @@ must give: its exit code, stdout and stderr.  An output is stated as
 exact text, as the ``Sha256`` of its UTF-8, or as an ``re`` pattern it
 must match whole: ``ONE_ERROR_LINE``, or the text of ``bench`` and
 ``--help``, which varies by host and by Python.  Whatever the row, a
-request that fails writes one line of under 200 bytes.
+request that fails writes one line of under 200 bytes, and every request
+leaves this process with no child and no more open descriptors than
+before it.
 
 Each row runs two ways.  ``in_process`` calls ``main`` with the standard
 streams swapped in.  ``console`` runs the installed ``latinsq`` script in
@@ -139,12 +141,28 @@ def _seen(text, expected):
     return text
 
 
+def open_descriptors() -> int:
+    """How many descriptors this process holds open, where Linux lists
+    them in ``/proc/self/fd``; 0 elsewhere."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+def assert_nothing_left(descriptors):
+    """This process has no child, running or unreaped, and holds
+    ``descriptors`` descriptors open, as it did before a request."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_descriptors() == descriptors
+
+
 def check(case, run):
+    descriptors = open_descriptors()
     code, out, err = run(case.argv, case.stdin)
     assert (code, _seen(out, case.out), _seen(err, case.err)) == (case.code, case.out, case.err)
     if code:  # a request that fails writes one line of under 200 bytes
         line = out + err
         assert line.count("\n") == 1 and line.endswith("\n") and len(line.encode()) < 200
+    assert_nothing_left(descriptors)
 
 
 # ---------------------------------------------------------------- values
@@ -255,6 +273,9 @@ README_GRID = "1 2 5 3 4\n2 4 3 5 1\n5 3 4 1 2\n3 1 2 4 5\n4 5 1 2 3\n"
 GENERATE_GRID_SHA = Sha256("76464cba97018463b056dd88bc143a8aad473bb7cc8b045795666517501445cf")
 GENERATE_JSON_SHA = Sha256("78b6095fbb44af44d15154a6d962d18fa09a402fc8ace075200e29c0a7a24f4e")
 JSON_2 = '{"order": 2, "cells": [[1, 2], [2, 1]]}'
+# 14,400 cells: drawn by up to three processes, one per usable CPU
+FORKED_BATCH = ["generate", "--order", "12", "--count", "100", "--seed", "5", "--format", "json"]
+FORKED_BATCH_SHA = Sha256("69339dd6c673da72e75da9ee24477b7761169195b211babf29de6aaee65343cb")
 
 # ---------------------------------------------------------------- rows
 
@@ -284,6 +305,7 @@ TABLE = {
             ["generate", "--order", "5", "--seed", "1", "--count", "3", "--format", "json"],
             out=GENERATE_JSON_SHA,
         ),
+        Case("generate-forked-batch", FORKED_BATCH, out=FORKED_BATCH_SHA),
         _refused("generate-70", ["generate", "--order", "70"], "order must be in 1..64, got 70"),
         Case("generate-order-64", ["generate", "--order", "64", "--seed", "3"], out=GRID_64_SHA),
         Case("generate-order-64-exp", ["generate", "--order", "64", "--seed", "3", "--format", "exp"], out=EXP_64_SHA),

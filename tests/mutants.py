@@ -311,6 +311,26 @@ MUTANTS = (
         'opening, separator, closing = "", "", ""',
         ("tests/test_cli.py::test_generate_count_separated_by_blank_line",),
     ),
+    Mutant(
+        "worker-stride-one-short",
+        "cli.py",
+        "range(k, count, len(readers))",
+        "range(k, count, len(readers) - 1)",
+        tuple(
+            f"tests/test_cli.py::test_a_forked_batch_is_the_batch_drawn_by_one_process[{case}]"
+            for case in ("12-100-grid", "24-30-exp", "64-4-json")
+        ),
+    ),
+    Mutant(
+        "workers-left-unreaped",
+        "cli.py",
+        "            os.waitpid(pid, 0)\n",
+        "            pass\n",
+        (
+            "tests/test_cli.py::test_cli_case[generate-forked-batch]",
+            "tests/test_cli.py::test_a_forked_batch_into_a_closed_pipe_leaves_nothing",
+        ),
+    ),
 )
 
 

@@ -9,6 +9,7 @@ import ast
 import functools
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -31,7 +32,19 @@ from latinsq.mask_set import MAX_ORDER
 from latinsq.oracle_enum import count_all, cycle_type_law, enumerate_all
 from latinsq.rng_choice import RandomSource
 
-from cli_cases import CASES, READ_ARGVS, REFUSED_ROWS, SRC, TESTS, child_env, in_process, spawn
+from cli_cases import (
+    CASES,
+    FORKED_BATCH,
+    READ_ARGVS,
+    REFUSED_ROWS,
+    SRC,
+    TESTS,
+    assert_nothing_left,
+    child_env,
+    in_process,
+    open_descriptors,
+    spawn,
+)
 from conftest import ORDER12_STD_ROW1, cut, render_rows
 
 # the table's rows: each group in process, under the name its test had
@@ -100,7 +113,9 @@ def test_generate_json_single_and_batch():
 def test_generate_json_is_byte_identical_to_json_dumps(order):
     """The JSON render spells what ``json.dumps`` spells for the payload:
     one object, or an array of them, then a newline.  Order 1 is where a
-    tuple's ``repr``, ``((1,),)``, would differ from it."""
+    tuple's ``repr``, ``((1,),)``, would differ from it.  At order 64 the
+    batch of 3 is 12,288 cells, so where two or more CPUs are usable it
+    is drawn by forked processes and read back from their pipes."""
     for count in (1, 3) + ((2,) if order == 1 else ()):
         base = RandomSource(7)
         payload = [
@@ -261,13 +276,13 @@ def test_a_failed_write_leaves_no_descriptor_open(monkeypatch, target):
     again, so requests in a loop open no more descriptors.  The count of
     open descriptors is the probe: the lowest free one would miss the
     leak into ``/dev/full``, whose own descriptor is freed again."""
-    before = len(os.listdir("/proc/self/fd"))
+    before = open_descriptors()
     for _ in range(3):
         with _failing_stdout(target) as stdout:
             monkeypatch.setattr(sys, "stdout", stdout)
             assert main(["count", "--order", "3"]) == 2
         monkeypatch.undo()
-    assert len(os.listdir("/proc/self/fd")) == before
+    assert open_descriptors() == before
 
 
 def test_unbuffered_help_into_a_closed_pipe_ends_in_one_error_line():
@@ -279,9 +294,13 @@ def test_generate_ends_at_once_when_its_reader_leaves():
     """``generate --count 1000000 | head -1`` ends at once: squares are
     written as they are drawn, so the write after the reader has gone
     fails, and the child exits 2 with one line, long before the batch
-    could be drawn."""
+    could be drawn.  The child reaps the workers it forked before it
+    exits, so none is left in its process group once it has gone."""
+    descriptors = open_descriptors()
     argv = ["generate", "--order", "12", "--count", "1000000", "--seed", "1"]
-    child = spawn(argv, subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child = spawn(
+        argv, subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True
+    )
     deadline = time.monotonic() + 10
     try:
         # a child that holds its output back must not block the test
@@ -295,6 +314,92 @@ def test_generate_ends_at_once_when_its_reader_leaves():
     assert len(line.split()) == 12
     assert child.returncode == 2
     assert err == b"error: [Errno 32] Broken pipe\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
+    assert_nothing_left(descriptors)
+
+
+# ---------------------------------------------------------------- workers
+
+
+def _cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable, as ``generate`` counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _one_at_a_time(argv, count, seed, fmt):
+    """The batch ``argv`` asks for, spelled from its squares ``seed + i``,
+    each generated by a request of its own."""
+    squares = [
+        in_process([*argv, "--count", "1", "--seed", str(seed + i), "--format", fmt])[1] for i in range(count)
+    ]
+    if fmt == "json":
+        return "[" + ", ".join(square.rstrip("\n") for square in squares) + "]\n"
+    return "\n".join(squares)
+
+
+@pytest.mark.parametrize("fmt", ["grid", "exp", "json"])
+@pytest.mark.parametrize("order, count", [(12, 100), (24, 30), (64, 4)])
+def test_a_forked_batch_is_the_batch_drawn_by_one_process(monkeypatch, order, count, fmt):
+    """A batch of at least 12,288 cells, drawn as this host draws it, by
+    three processes, and by one, is byte for byte the batch of its
+    squares ``seed + i`` generated one at a time."""
+    argv = ["generate", "--order", str(order)]
+    batch = [*argv, "--count", str(count), "--seed", "9", "--format", fmt]
+    expected = _one_at_a_time(argv, count, 9, fmt)
+    assert in_process(batch) == (0, expected, "")
+    for cpus in (3, 1):
+        _cpus(monkeypatch, cpus)
+        assert in_process(batch) == (0, expected, "")
+
+
+def test_a_forked_batch_into_a_closed_pipe_leaves_nothing(monkeypatch):
+    """A batch whose stdout fails mid-way closes its pipes, reaps its
+    workers and ends in one error line."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    descriptors = open_descriptors()
+    with _failing_stdout("closed-pipe") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(FORKED_BATCH) == 2
+        assert sys.stderr.getvalue() == "error: [Errno 32] Broken pipe\n"
+    assert_nothing_left(descriptors)
+
+
+def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch):
+    """A worker that fails leaves a short frame: the batch ends in exit 2
+    and one error line, and no worker or pipe is left."""
+    parent = os.getpid()
+
+    def generate_in_the_parent_only(order, src):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker fails")
+        return generate(order, src)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "generate", generate_in_the_parent_only)
+    descriptors = open_descriptors()
+    code, _, err = in_process(FORKED_BATCH)
+    assert (code, err) == (2, "error: a generating process ended early\n")
+    assert_nothing_left(descriptors)
+
+
+def test_a_failed_fork_leaves_the_batch_to_this_process(monkeypatch):
+    """Where ``os.fork`` fails, this process draws the worker's squares
+    itself, and writes the same bytes."""
+    expected = in_process(FORKED_BATCH)
+    forks = []
+
+    def refuse():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", refuse)
+    descriptors = open_descriptors()
+    assert in_process(FORKED_BATCH) == expected
+    assert forks == [1, 1]
+    assert_nothing_left(descriptors)
 
 
 # the peak RSS of the child's own address space since its exec: Linux
@@ -329,12 +434,6 @@ def test_generate_holds_one_square_at_a_time(fmt):
         )
         peaks.append(int(done.stderr))
     assert abs(peaks[1] - peaks[0]) <= 2 * 1024, peaks
-
-
-def test_generate_order_too_large():
-    code, _, err = in_process(["generate", "--order", "65"])
-    assert code == 2
-    assert "order" in err
 
 
 def test_generate_order64_completes():
@@ -894,7 +993,7 @@ def test_parser_is_built_once_and_survives_a_usage_error():
 # ---------------------------------------------------------------- garbage
 
 GARBAGE_ROWS = [  # the ids of rows in cli_cases.py
-    *("1-1", "5-161280", "count-9", "generate-grid", "generate-json", "generate-70"),
+    *("1-1", "5-161280", "count-9", "generate-grid", "generate-json", "generate-forked-batch", "generate-70"),
     *(f"{command}-{kind}" for command in ("validate", "convert") for kind in ("valid", "invalid", "malformed", "json")),
     *("bench", "missing-file", "ambiguous-option"),
 ]
