@@ -21,6 +21,10 @@ closed pipe ends the batch at the next write.  A batch of at least
 ``2 * CELLS_PER_PROCESS`` cells is shared across the usable CPUs: forked
 workers draw interleaved squares and send each back through a pipe as
 soon as it is rendered, so each process holds one square and a pipe.
+A caller with a second live thread draws the batch alone, since a child
+forked from a threaded process may deadlock.  A worker that ends before
+writing its square ends the batch in one line, ``square 2 (seed 6) was
+not drawn: worker 1 ended early``, squares numbered from 1.
 JSON output spells its symbols through ``_GRID_TEXT``, byte for byte as
 ``json.dumps`` spells the payload, so only JSON input loads ``json``.
 
@@ -243,8 +247,10 @@ CELLS_PER_PROCESS = 4096  # the least drawing, about 4 ms, that pays for a fork 
 def _processes(count: int, order: int) -> int:
     """How many processes draw a batch: one per usable CPU, so long as
     each has ``CELLS_PER_PROCESS`` cells to draw; one where there is no
-    ``os.fork``."""
-    if not hasattr(os, "fork"):
+    ``os.fork``, or where a second thread runs, since a child forked from
+    a threaded process may deadlock."""
+    threading = sys.modules.get("threading")  # not imported: a threaded caller has loaded it
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, count * order * order // CELLS_PER_PROCESS))
@@ -288,15 +294,15 @@ def _fork_worker(readers: list, k: int, count: int, draw) -> int | None:
         os._exit(status)
 
 
-def _frame(reader) -> str:
-    """The next square a worker wrote to ``reader``."""
+def _frame(reader, i: int, k: int, base: RandomSource) -> str:
+    """Square i of the batch, the next that worker k wrote to ``reader``."""
     head = reader.read(4)
     if len(head) == 4:
         size = int.from_bytes(head, "big")
         data = reader.read(size)
         if len(data) == size:
             return data.decode()
-    raise OSError("a generating process ended early")
+    raise OSError(f"square {i + 1} (seed {base.spawn(i).seed}) was not drawn: worker {k} ended early")
 
 
 def _cmd_generate(args) -> int:
@@ -329,8 +335,8 @@ def _cmd_generate(args) -> int:
         for i in range(args.count):
             if i:
                 write(separator)
-            reader = readers[i % len(readers)]
-            write(draw(i) if reader is None else _frame(reader))
+            k = i % len(readers)
+            write(draw(i) if readers[k] is None else _frame(readers[k], i, k, base))
         write(closing)
     finally:
         for reader in readers:

@@ -43,7 +43,7 @@ from latinsq.cli import main
 from latinsq.latin_gen import generate
 from latinsq.rng_choice import RandomSource
 
-from conftest import cut, render_rows
+from conftest import ORDER12_EXP, cut, render_rows
 
 CLOSED = None  # a stdin closed before the request starts, as ``<&-`` closes it
 SCRIPT = shutil.which("latinsq")
@@ -273,6 +273,10 @@ README_GRID = "1 2 5 3 4\n2 4 3 5 1\n5 3 4 1 2\n3 1 2 4 5\n4 5 1 2 3\n"
 GENERATE_GRID_SHA = Sha256("76464cba97018463b056dd88bc143a8aad473bb7cc8b045795666517501445cf")
 GENERATE_JSON_SHA = Sha256("78b6095fbb44af44d15154a6d962d18fa09a402fc8ace075200e29c0a7a24f4e")
 JSON_2 = '{"order": 2, "cells": [[1, 2], [2, 1]]}'
+# the reference order-12 square in exponential text, and the grid it
+# converts to: each cell's symbol is the bit length of its power
+ORDER12_TEXT = render_rows(ORDER12_EXP)
+ORDER12_GRID = render_rows([v.bit_length() for v in row] for row in ORDER12_EXP)
 # 14,400 cells: drawn by up to three processes, one per usable CPU
 FORKED_BATCH = ["generate", "--order", "12", "--count", "100", "--seed", "5", "--format", "json"]
 FORKED_BATCH_SHA = Sha256("69339dd6c673da72e75da9ee24477b7761169195b211babf29de6aaee65343cb")
@@ -323,6 +327,41 @@ TABLE = {
         _refused("convert-malformed", TO_EXP, "not an integer row: '1 x'", "1 x\n2 1\n"),
         Case("validate-json", VALIDATE, JSON_2, out="VALID\n"),
         Case("convert-json", TO_EXP, JSON_2, out="1 2\n2 1\n"),
+        Case("validate-reference-order-12", VALIDATE_EXP, ORDER12_TEXT, out="VALID\n"),
+        Case("convert-reference-order-12-to-grid", TO_GRID, ORDER12_TEXT, out=ORDER12_GRID),
+        _refused("validate-empty", VALIDATE, "no matrix found in input"),
+        _invalid(
+            "validate-second-square-invalid", VALIDATE, "square 2: column 1 duplicates 1", "1 2\n2 1\n\n1 2\n1 2\n"
+        ),
+        _invalid("validate-json-invalid", VALIDATE, "row 2 duplicates 2", '{"order": 2, "cells": [[1, 2], [2, 2]]}'),
+        _refused(
+            "validate-json-order-mismatch",
+            VALIDATE,
+            "JSON cells do not match the declared order",
+            '{"order": 3, "cells": [[1, 2], [2, 1]]}',
+        ),
+        _refused(
+            "validate-json-broken",
+            VALIDATE,
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            "{broken json",
+        ),
+        # a JSON boolean is no integer, as the order or as a cell
+        _refused(
+            "validate-json-boolean-order",
+            VALIDATE,
+            "JSON cells do not match the declared order",
+            '{"order": true, "cells": [[true]]}',
+        ),
+        _refused(
+            "validate-json-boolean-cell", VALIDATE, "row 1 holds a non-integer entry True", '{"order": 1, "cells": [[true]]}'
+        ),
+        _refused(
+            "validate-json-boolean-in-row-2",
+            VALIDATE,
+            "row 2 holds a non-integer entry True",
+            '{"order": 2, "cells": [[1, 2], [2, true]]}',
+        ),
         _invalid("grid-above-64", VALIDATE, "row 2 contains 65, outside 1..2", "1 2\n2 65\n"),
         _invalid("grid-negative", VALIDATE, "row 2 contains -1, outside 1..2", "1 2\n2 -1\n"),
         # exponential text: tokens int reads in another spelling, values the table lacks

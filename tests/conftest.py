@@ -23,9 +23,6 @@ ORDER12_EXP = (
     (128, 512, 2, 2048, 256, 1, 64, 1024, 4, 8, 16, 32),
 )
 
-# Its first row in standard symbols (log2 + 1 of the row above).
-ORDER12_STD_ROW1 = (6, 1, 5, 4, 10, 9, 12, 8, 2, 11, 3, 7)
-
 
 def cut(text: str) -> str:
     """A value as an error line quotes it: whole when its UTF-8 takes at
@@ -42,13 +39,6 @@ def render_rows(rows) -> str:
 @pytest.fixture
 def order12_exp():
     return [list(row) for row in ORDER12_EXP]
-
-
-@pytest.fixture
-def order12_exp_file(tmp_path):
-    path = tmp_path / "order12.exp"
-    path.write_text(render_rows(ORDER12_EXP))
-    return path
 
 
 class Script:

@@ -5,12 +5,13 @@ Run from anywhere, with pytest and hypothesis installed:
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named mutants
 
-For each mutant the script copies ``src/`` to a temporary directory,
-requires the named tests to pass on that unmutated copy, replaces the
-mutant's snippet there, and requires the same tests to fail.  Each snippet
-must occur exactly once in its file, so a change that rewrites the code
-under a mutant must rewrite the mutant too.  A mutant that survives is a
-gap in the tests.  Exits 0 when every mutant is caught, 1 otherwise.
+The script first requires every test that the selected mutants name to
+pass on the unmutated package, in one run.  Then for each mutant it copies
+``src/`` to a temporary directory, replaces the mutant's snippet there,
+and requires the mutant's tests to fail.  Each snippet must occur exactly
+once in its file, so a change that rewrites the code under a mutant must
+rewrite the mutant too.  A mutant that survives is a gap in the tests.
+Exits 0 when every mutant is caught, 1 otherwise.
 
 Standard library only; pytest does not collect this file.
 """
@@ -299,17 +300,14 @@ MUTANTS = (
         "cli.py",
         '("[", ", ", "]\\n")',
         '("[", "", "]\\n")',
-        (
-            "tests/test_cli.py::test_generate_json_single_and_batch",
-            "tests/test_cli.py::test_generate_json_is_byte_identical_to_json_dumps",
-        ),
+        ("tests/test_cli.py::test_generate_json_is_byte_identical_to_json_dumps",),
     ),
     Mutant(
         "text-squares-not-separated",
         "cli.py",
         'opening, separator, closing = "", "\\n", ""',
         'opening, separator, closing = "", "", ""',
-        ("tests/test_cli.py::test_generate_count_separated_by_blank_line",),
+        ("tests/test_cli.py::test_cli_case[generate-grid]",),
     ),
     Mutant(
         "worker-stride-one-short",
@@ -330,6 +328,20 @@ MUTANTS = (
             "tests/test_cli.py::test_cli_case[generate-forked-batch]",
             "tests/test_cli.py::test_a_forked_batch_into_a_closed_pipe_leaves_nothing",
         ),
+    ),
+    Mutant(
+        "threaded-caller-forks",
+        "cli.py",
+        " or threading and threading.active_count() > 1",
+        "",
+        ("tests/test_cli.py::test_a_threaded_caller_draws_the_batch_in_one_process",),
+    ),
+    Mutant(
+        "early-end-names-no-square",
+        "cli.py",
+        'f"square {i + 1} (seed',
+        'f"square (seed',
+        ("tests/test_cli.py::test_a_worker_that_ends_early_ends_the_batch_in_one_error_line",),
     ),
 )
 
@@ -353,9 +365,6 @@ def check(mutant: Mutant) -> str:
         found = text.count(mutant.snippet)
         if found != 1:
             return f"snippet occurs {found} times in {mutant.path}"
-        code = _pytest(src, mutant.tests)
-        if code != 0:
-            return f"the named tests exit {code} on the unmutated copy"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(mutant.snippet, mutant.replacement))
         code = _pytest(src, mutant.tests)
@@ -371,10 +380,14 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 1
+    mutants = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    started = time.monotonic()
+    code = _pytest(os.path.join(ROOT, "src"), sorted({test for mutant in mutants for test in mutant.tests}))
+    print(f"unmutated package: the named tests exit {code} ({time.monotonic() - started:.1f} s)", flush=True)
+    if code != 0:
+        return 1
     failed = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
+    for mutant in mutants:
         started = time.monotonic()
         outcome = check(mutant)
         failed += outcome != "caught"

@@ -26,7 +26,6 @@ from latinsq.rng_choice import RandomSource, choice
 from latinsq.validator import is_exponential_latin, is_latin
 
 from cli_cases import in_process
-from conftest import ORDER12_EXP
 
 SWEEP_ORDERS = range(1, 13)
 SWEEP_SEEDS = range(100)
@@ -161,8 +160,3 @@ def test_criterion_8_order64_completes():
         assert elapsed < 1.0
         slowest = max(slowest, elapsed)
     print(f"[PASS] criterion 8: 20 order-64 squares all valid, slowest in {slowest:.2f} s")
-
-
-def test_reference_square_matches_module_fixture(order12_exp):
-    # conftest constant and fixture stay in sync
-    assert [list(row) for row in ORDER12_EXP] == order12_exp

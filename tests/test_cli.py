@@ -1,8 +1,11 @@
 """Command-line behavior: formats, exit codes, round trips, bench.
 
-The cases that state only argv, stdin and outputs are rows in
-``cli_cases.py``; this module runs them, and holds the tests that need more:
-a monkeypatch, a clock, a file, a descriptor, a child's streams or memory.
+Every case that states only argv, stdin and outputs is a row in
+``cli_cases.py``; this module runs the rows, and holds only the tests that
+need more: a monkeypatch, a clock, a thread, a descriptor, a file of the
+repository, a child's streams or memory, or outputs compared with what the
+library or another request gives.  Two tests read a real file where a row reads stdin:
+``test_pipe_roundtrip_generate_validate`` and ``test_readme_examples``.
 """
 
 import ast
@@ -16,6 +19,7 @@ import re
 import select
 import subprocess
 import sys
+import threading
 import time
 import types
 
@@ -40,12 +44,13 @@ from cli_cases import (
     SRC,
     TESTS,
     assert_nothing_left,
+    check,
     child_env,
     in_process,
     open_descriptors,
     spawn,
 )
-from conftest import ORDER12_STD_ROW1, cut, render_rows
+from conftest import cut, render_rows
 
 # the table's rows: each group in process, under the name its test had
 # before the table, and every row through the installed script
@@ -53,20 +58,6 @@ globals().update(TESTS)
 
 
 # ---------------------------------------------------------------- generate
-
-
-def test_generate_exp_deterministic():
-    argv = ["generate", "--order", "12", "--seed", "42", "--format", "exp"]
-    code1, out1, _ = in_process(argv)
-    code2, out2, _ = in_process(argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    lines = out1.strip().splitlines()
-    assert len(lines) == 12
-    for line in lines:
-        values = [int(tok) for tok in line.split()]
-        assert len(values) == 12
-        assert all(v.bit_count() == 1 and v <= 2048 for v in values)
 
 
 def test_generate_echoed_seed_reproduces():
@@ -78,35 +69,6 @@ def test_generate_echoed_seed_reproduces():
     assert code2 == 0
     assert out2 == out
     assert err2 == ""
-
-
-def test_generate_count_separated_by_blank_line():
-    code, out, _ = in_process(["generate", "--order", "4", "--seed", "3", "--count", "3"])
-    assert code == 0
-    blocks = out.split("\n\n")
-    assert len(blocks) == 3
-    assert not out.endswith("\n\n")
-
-
-def test_generate_batch_squares_individually_reproducible():
-    _, batch, _ = in_process(["generate", "--order", "5", "--seed", "50", "--count", "3"])
-    third = batch.split("\n\n")[2]
-    # square i of a batch comes from seed + i
-    _, single, _ = in_process(["generate", "--order", "5", "--seed", "52"])
-    assert single == third
-
-
-def test_generate_json_single_and_batch():
-    code, out, _ = in_process(["generate", "--order", "4", "--seed", "1", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["order"] == 4
-    assert len(payload["cells"]) == 4
-    code, out, _ = in_process(["generate", "--order", "4", "--seed", "1", "--format", "json", "--count", "2"])
-    assert code == 0
-    batch = json.loads(out)
-    assert isinstance(batch, list) and len(batch) == 2
-    assert batch[0]["cells"] == payload["cells"]
 
 
 @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
@@ -368,7 +330,8 @@ def test_a_forked_batch_into_a_closed_pipe_leaves_nothing(monkeypatch):
 
 def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch):
     """A worker that fails leaves a short frame: the batch ends in exit 2
-    and one error line, and no worker or pipe is left."""
+    and one error line that names the first square it did not send, from
+    1, and that square's seed, and no worker or pipe is left."""
     parent = os.getpid()
 
     def generate_in_the_parent_only(order, src):
@@ -380,8 +343,24 @@ def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch):
     monkeypatch.setattr(cli, "generate", generate_in_the_parent_only)
     descriptors = open_descriptors()
     code, _, err = in_process(FORKED_BATCH)
-    assert (code, err) == (2, "error: a generating process ended early\n")
+    assert (code, err) == (2, "error: square 2 (seed 6) was not drawn: worker 1 ended early\n")
     assert_nothing_left(descriptors)
+
+
+def test_a_threaded_caller_draws_the_batch_in_one_process(monkeypatch):
+    """A caller with a second live thread forks no worker, since a child
+    forked from a threaded process may deadlock; its batch is the same."""
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a threaded caller forked"))
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        check(CASES["generate-forked-batch"], in_process)
+    finally:
+        release.set()
+        waiting.join(10)
+    assert not waiting.is_alive()
 
 
 def test_a_failed_fork_leaves_the_batch_to_this_process(monkeypatch):
@@ -434,14 +413,6 @@ def test_generate_holds_one_square_at_a_time(fmt):
         )
         peaks.append(int(done.stderr))
     assert abs(peaks[1] - peaks[0]) <= 2 * 1024, peaks
-
-
-def test_generate_order64_completes():
-    code, out, err = in_process(["generate", "--order", "64", "--seed", "0"])
-    assert code == 0
-    assert err == ""
-    rows = [[int(tok) for tok in line.split()] for line in out.splitlines()]
-    assert validator.is_latin(rows)
 
 
 README_EXP = "1 2 16 4 8\n2 8 4 16 1\n16 4 8 1 2\n4 1 2 8 16\n8 16 1 2 4\n"
@@ -816,104 +787,6 @@ def test_exponential_text_is_decided_by_is_latin_alone(monkeypatch, argv, text, 
         want = (1, expected, "") if argv[0] == "validate" else (1, "", expected)
     assert in_process(argv, text) == want
     assert calls == named
-
-
-# ---------------------------------------------------------------- validate
-
-
-def test_validate_reference_square(order12_exp_file):
-    code, out, _ = in_process(["validate", str(order12_exp_file), "--exp"])
-    assert code == 0
-    assert out.strip() == "VALID"
-
-
-def test_validate_duplicate_row(tmp_path):
-    path = tmp_path / "bad.grid"
-    path.write_text("1 2\n2 2\n")
-    code, out, _ = in_process(["validate", str(path)])
-    assert code == 1
-    assert "row 2 duplicates 2" in out
-
-
-def test_validate_empty_file(tmp_path):
-    path = tmp_path / "empty"
-    path.write_text("")
-    assert in_process(["validate", str(path)])[0] == 2
-
-
-def test_validate_garbage_tokens(tmp_path):
-    path = tmp_path / "noise"
-    path.write_text("1 x\n2 1\n")
-    assert in_process(["validate", str(path)])[0] == 2
-
-
-def test_validate_missing_file(tmp_path):
-    assert in_process(["validate", str(tmp_path / "absent")])[0] == 2
-
-
-def test_validate_json_input(tmp_path):
-    path = tmp_path / "sq.json"
-    path.write_text(json.dumps({"order": 2, "cells": [[1, 2], [2, 1]]}))
-    assert in_process(["validate", str(path)])[0] == 0
-    path.write_text(json.dumps({"order": 2, "cells": [[1, 2], [2, 2]]}))
-    assert in_process(["validate", str(path)])[0] == 1
-    path.write_text(json.dumps({"order": 3, "cells": [[1, 2], [2, 1]]}))
-    assert in_process(["validate", str(path)])[0] == 2  # shape contradicts header
-    path.write_text("{broken json")
-    assert in_process(["validate", str(path)])[0] == 2
-
-
-@pytest.mark.parametrize(
-    "square",
-    [
-        {"order": True, "cells": [[True]]},
-        {"order": 1, "cells": [[True]]},
-        {"order": 2, "cells": [[1, 2], [2, True]]},
-    ],
-)
-def test_validate_rejects_json_booleans(tmp_path, square):
-    path = tmp_path / "bool.json"
-    path.write_text(json.dumps(square))
-    code, out, err = in_process(["validate", str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_validate_multi_square_reports_offender(tmp_path):
-    path = tmp_path / "two.grid"
-    path.write_text("1 2\n2 1\n\n1 2\n1 2\n")
-    code, out, _ = in_process(["validate", str(path)])
-    assert code == 1
-    assert out.startswith("square 2: ")
-
-
-# ---------------------------------------------------------------- convert
-
-
-def test_convert_reference_to_grid(order12_exp_file):
-    code, out, _ = in_process(["convert", str(order12_exp_file), "--to", "grid"])
-    assert code == 0
-    assert out.splitlines()[0] == " ".join(str(v) for v in ORDER12_STD_ROW1)
-
-
-def test_convert_roundtrip_is_byte_identical(tmp_path):
-    _, grid, _ = in_process(["generate", "--order", "9", "--seed", "77"])
-    a = tmp_path / "a.grid"
-    a.write_text(grid)
-    _, exp, _ = in_process(["convert", str(a), "--to", "exp"])
-    b = tmp_path / "b.exp"
-    b.write_text(exp)
-    _, back, _ = in_process(["convert", str(b), "--to", "grid"])
-    assert back == grid
-
-
-def test_convert_rejects_invalid_square(tmp_path):
-    path = tmp_path / "bad.grid"
-    path.write_text("1 2\n2 2\n")
-    code, _, err = in_process(["convert", str(path), "--to", "exp"])
-    assert code == 1
-    assert "duplicates" in err
 
 
 # ---------------------------------------------------------------- count

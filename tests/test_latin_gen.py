@@ -13,7 +13,7 @@ from latinsq.errors import OrderTooLarge
 from latinsq.latin_gen import GenerationReport, LatinSquare, _repair_row, generate
 from latinsq.oracle_enum import enumerate_all
 from latinsq.rng_choice import RandomSource
-from latinsq.validator import is_exponential_latin, is_latin
+from latinsq.validator import is_exponential_latin
 
 from conftest import Script
 from test_law import _repaired_rows
@@ -45,14 +45,6 @@ def test_order12_fixed_seed_valid_and_repeatable():
     assert first == second and hash(first) == hash(second)
     assert is_exponential_latin(first.square.exponential)
     assert all(1 <= v <= 12 for row in first.square.cells for v in row)
-
-
-def test_soundness_sweep_small_orders():
-    for n in range(1, 9):
-        for seed in range(20):
-            report = generate(n, RandomSource(seed))
-            assert is_exponential_latin(report.square.exponential)
-            assert is_latin(report.square.cells)
 
 
 def test_report_holds_only_the_square_and_repairs():
@@ -179,14 +171,6 @@ def test_draw_stream_unchanged_where_repairs_are_long():
             after = src.next_below(1 << 32)
             digest.update(repr((report.square.cells, report.repairs, src.bounds, after)).encode())
     assert digest.hexdigest() == LONG_REPAIR_STREAM
-
-
-def test_reachability_order3():
-    produced = set()
-    for seed in range(3000):
-        produced.add(generate(3, RandomSource(seed)).square.cells)
-    expected = {square.cells for square in enumerate_all(3)}
-    assert produced == expected
 
 
 # ---------------------------------------------------------------- conversions

@@ -171,12 +171,3 @@ def test_choice_singleton_submask_fuzz():
         got = choice(SubsetMask(bits, n), src)
         assert got.bits.bit_count() == 1
         assert got.bits & bits == got.bits
-
-
-def test_choice_uniform_over_four_bits():
-    src = RandomSource(11)
-    k = SubsetMask(0b1111, 4)
-    counts = Counter(choice(k, src).bits for _ in range(20_000))
-    assert set(counts) == {1, 2, 4, 8}
-    _, p = stats.chisquare(list(counts.values()))
-    assert p > CHI2_ALPHA
