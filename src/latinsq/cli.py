@@ -160,14 +160,16 @@ def _parse_json(text: str) -> list[list[list[int]]]:
         if not isinstance(item, dict) or "order" not in item or "cells" not in item:
             raise MalformedMatrix('JSON square must be {"order": n, "cells": [[...]]}')
         order, cells = item["order"], item["cells"]
+        if type(order) is not int:  # rejects true/false too
+            raise MalformedMatrix(f"JSON order must be an integer, got {_quote(order)}")
+        if not isinstance(cells, list):
+            raise MalformedMatrix(f"JSON cells must be a list of rows, got {_quote(cells)}")
+        if len(cells) != order:
+            raise MalformedMatrix(f"JSON cells hold {len(cells)} rows, but the order is {_quote(order)}")
         # row lengths are left to the validator, which names a ragged row
-        if (
-            type(order) is not int  # rejects true/false too
-            or not isinstance(cells, list)
-            or len(cells) != order
-            or not all(isinstance(row, list) for row in cells)
-        ):
-            raise MalformedMatrix("JSON cells do not match the declared order")
+        for number, row in enumerate(cells, start=1):
+            if not isinstance(row, list):
+                raise MalformedMatrix(f"JSON row {number} must be a list, got {_quote(row)}")
         matrices.append(cells)
     if not matrices:
         raise MalformedMatrix("no matrix found in input")

@@ -273,6 +273,9 @@ README_GRID = "1 2 5 3 4\n2 4 3 5 1\n5 3 4 1 2\n3 1 2 4 5\n4 5 1 2 3\n"
 GENERATE_GRID_SHA = Sha256("76464cba97018463b056dd88bc143a8aad473bb7cc8b045795666517501445cf")
 GENERATE_JSON_SHA = Sha256("78b6095fbb44af44d15154a6d962d18fa09a402fc8ace075200e29c0a7a24f4e")
 JSON_2 = '{"order": 2, "cells": [[1, 2], [2, 1]]}'
+JSON_3 = '{"order": 3, "cells": [[1, 2, 3], [2, 3, 1], [3, 1, 2]]}'
+BAD_2 = '{"order": 2, "cells": [[1, 2], [2, 2]]}'
+JSON_SHAPE = 'JSON square must be {"order": n, "cells": [[...]]}'
 # the reference order-12 square in exponential text, and the grid it
 # converts to: each cell's symbol is the bit length of its power
 ORDER12_TEXT = render_rows(ORDER12_EXP)
@@ -333,12 +336,53 @@ TABLE = {
         _invalid(
             "validate-second-square-invalid", VALIDATE, "square 2: column 1 duplicates 1", "1 2\n2 1\n\n1 2\n1 2\n"
         ),
-        _invalid("validate-json-invalid", VALIDATE, "row 2 duplicates 2", '{"order": 2, "cells": [[1, 2], [2, 2]]}'),
+        _invalid("validate-json-invalid", VALIDATE, "row 2 duplicates 2", BAD_2),
+        _invalid(
+            "validate-json-second-square-invalid", VALIDATE, "square 2: row 2 duplicates 2", f"[{JSON_2}, {BAD_2}]"
+        ),
+        Case("validate-json-batch", VALIDATE, f"[{JSON_2}, {JSON_3}]", out="VALID\n"),
+        Case("convert-json-batch", TO_EXP, f"[{JSON_2}, {JSON_3}]", out="1 2\n2 1\n\n1 2 4\n2 4 1\n4 1 2\n"),
+        Case("convert-json-to-grid", TO_GRID, JSON_3, out="1 2 3\n2 3 1\n3 1 2\n"),
+        _invalid("convert-json-invalid", TO_EXP, "row 2 duplicates 2", BAD_2),
+        # a JSON input whose shape is wrong is refused with its fault named
+        _refused("validate-json-empty-array", VALIDATE, "no matrix found in input", "[]"),
+        _refused("validate-json-not-a-square", VALIDATE, JSON_SHAPE, "[1]"),
+        _refused("validate-json-missing-cells", VALIDATE, JSON_SHAPE, '{"order": 2}'),
         _refused(
             "validate-json-order-mismatch",
             VALIDATE,
-            "JSON cells do not match the declared order",
+            "JSON cells hold 2 rows, but the order is 3",
             '{"order": 3, "cells": [[1, 2], [2, 1]]}',
+        ),
+        _refused(
+            "validate-json-too-many-rows",
+            VALIDATE,
+            "JSON cells hold 2 rows, but the order is 1",
+            '{"order": 1, "cells": [[1], [1]]}',
+        ),
+        _refused(
+            "validate-json-long-order",
+            VALIDATE,
+            f"JSON cells hold 0 rows, but the order is {CUT_NINES}",
+            f'{{"order": {NINES}, "cells": []}}',
+        ),
+        _refused(
+            "validate-json-order-string",
+            VALIDATE,
+            f"JSON order must be an integer, got '{'x' * 76}...",
+            '{"order": %s, "cells": []}' % json.dumps("x" * 5000),
+        ),
+        _refused(
+            "validate-json-cells-not-a-list",
+            VALIDATE,
+            "JSON cells must be a list of rows, got 1",
+            '{"order": 1, "cells": 1}',
+        ),
+        _refused(
+            "validate-json-row-not-a-list",
+            VALIDATE,
+            "JSON row 2 must be a list, got 3",
+            '{"order": 2, "cells": [[1, 2], 3]}',
         ),
         _refused(
             "validate-json-broken",
@@ -350,7 +394,7 @@ TABLE = {
         _refused(
             "validate-json-boolean-order",
             VALIDATE,
-            "JSON cells do not match the declared order",
+            "JSON order must be an integer, got True",
             '{"order": true, "cells": [[true]]}',
         ),
         _refused(

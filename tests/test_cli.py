@@ -328,22 +328,33 @@ def test_a_forked_batch_into_a_closed_pipe_leaves_nothing(monkeypatch):
     assert_nothing_left(descriptors)
 
 
-def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch):
+@pytest.mark.parametrize(
+    "failing, line",
+    [
+        (1, "square 2 (seed 6) was not drawn: worker 1 ended early"),
+        (2, "square 3 (seed 7) was not drawn: worker 2 ended early"),
+        (4, "square 5 (seed 9) was not drawn: worker 1 ended early"),
+    ],
+    ids=["worker-1-first", "worker-2-first", "worker-1-second"],
+)
+def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch, failing, line):
     """A worker that fails leaves a short frame: the batch ends in exit 2
     and one error line that names the first square it did not send, from
-    1, and that square's seed, and no worker or pipe is left."""
+    1, and that square's seed, and no worker or pipe is left.  Of three
+    processes, worker k draws squares k, k + 3, ... counted from 0, and
+    square i of the batch is drawn from its seed 5 + i."""
     parent = os.getpid()
 
-    def generate_in_the_parent_only(order, src):
-        if os.getpid() != parent:
+    def generate_failing_in_a_worker(order, src):
+        if os.getpid() != parent and src.seed == 5 + failing:
             raise RuntimeError("a worker fails")
         return generate(order, src)
 
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "generate", generate_in_the_parent_only)
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "generate", generate_failing_in_a_worker)
     descriptors = open_descriptors()
     code, _, err = in_process(FORKED_BATCH)
-    assert (code, err) == (2, "error: square 2 (seed 6) was not drawn: worker 1 ended early\n")
+    assert (code, err) == (2, f"error: {line}\n")
     assert_nothing_left(descriptors)
 
 
