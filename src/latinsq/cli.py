@@ -24,7 +24,9 @@ soon as it is rendered, so each process holds one square and a pipe.
 A caller with a second live thread draws the batch alone, since a child
 forked from a threaded process may deadlock.  A worker that ends before
 writing its square ends the batch in one line, ``square 2 (seed 6) was
-not drawn: worker 1 ended early``, squares numbered from 1.
+not drawn: worker 1 ended early``, squares numbered from 1; a worker that
+a signal ended is named by it, ``worker 1 was killed by signal 9
+(SIGKILL)``.
 JSON output spells its symbols through ``_GRID_TEXT``, byte for byte as
 ``json.dumps`` spells the payload, so only JSON input loads ``json``.
 
@@ -296,15 +298,27 @@ def _fork_worker(readers: list, k: int, count: int, draw) -> int | None:
         os._exit(status)
 
 
-def _frame(reader, i: int, k: int, base: RandomSource) -> str:
-    """Square i of the batch, the next that worker k wrote to ``reader``."""
+def _frame(reader, i: int, k: int, base: RandomSource, pids: dict) -> str:
+    """Square i of the batch, the next that worker k wrote to ``reader``.
+    A short frame means the worker has ended: reap it, taking it out of
+    ``pids``, and name the square it did not send and how it ended."""
     head = reader.read(4)
     if len(head) == 4:
         size = int.from_bytes(head, "big")
         data = reader.read(size)
         if len(data) == size:
             return data.decode()
-    raise OSError(f"square {i + 1} (seed {base.spawn(i).seed}) was not drawn: worker {k} ended early")
+    ending = "ended early"
+    status = os.waitpid(pids.pop(k), 0)[1]
+    if os.WIFSIGNALED(status):
+        import signal  # only a failing batch names a signal
+
+        number = os.WTERMSIG(status)
+        try:
+            ending = f"was killed by signal {number} ({signal.Signals(number).name})"
+        except ValueError:  # a real-time signal has no name
+            ending = f"was killed by signal {number}"
+    raise OSError(f"square {i + 1} (seed {base.spawn(i).seed}) was not drawn: worker {k} {ending}")
 
 
 def _cmd_generate(args) -> int:
@@ -326,25 +340,25 @@ def _cmd_generate(args) -> int:
     # square i is drawn by process i % len(readers): this one is process 0,
     # and each other has a pipe, read square by square as each is written
     readers = [None] * _processes(args.count, args.order)
-    pids = []
+    pids = {}  # worker k -> pid, until it is reaped
     try:
         for k in range(1, len(readers)):
             pid = _fork_worker(readers, k, args.count, draw)
             if pid is not None:
-                pids.append(pid)
+                pids[k] = pid
         write = sys.stdout.write
         write(opening)
         for i in range(args.count):
             if i:
                 write(separator)
             k = i % len(readers)
-            write(draw(i) if readers[k] is None else _frame(readers[k], i, k, base))
+            write(draw(i) if readers[k] is None else _frame(readers[k], i, k, base, pids))
         write(closing)
     finally:
         for reader in readers:
             if reader is not None:
                 reader.close()
-        for pid in pids:
+        for pid in pids.values():
             os.waitpid(pid, 0)
     return EXIT_OK
 

@@ -48,10 +48,7 @@ MUTANTS = (
         "validator.py",
         "if v < 1 or v > top or v & (v - 1):",
         "if v < 1 or v & (v - 1):",
-        (
-            "tests/test_validator.py::test_exponential_names_a_cell_that_is_not_a_power_in_range[above-range]",
-            "tests/test_validator.py::test_exponential_rejects_power_out_of_range",
-        ),
+        ("tests/test_validator.py::test_exponential_names_a_cell_that_is_not_a_power_in_range[above-range]",),
     ),
     Mutant(
         "power-test-without-single-bit-test",
@@ -62,6 +59,34 @@ MUTANTS = (
             "tests/test_validator.py::test_exponential_names_a_cell_that_is_not_a_power_in_range[non-power]",
             "tests/test_validator.py::test_non_power_anywhere_beats_an_earlier_row_duplicate",
         ),
+    ),
+    Mutant(
+        "column-verdict-worded-as-a-row",
+        "validator.py",
+        '_first_offender(f"column {j}", col, n)',
+        '_first_offender(f"row {j}", col, n)',
+        ("tests/test_cli.py::test_cli_case[validate-second-square-invalid]",),
+    ),
+    Mutant(
+        "binary-string-keeps-the-sign",
+        "mask_set.py",
+        'format(abs(x), "b")',
+        'format(x, "b")',
+        ("tests/test_mask_set.py::test_to_binary_string_matches_oracle",),
+    ),
+    Mutant(
+        "complement-in-a-wider-universe",
+        "mask_set.py",
+        "m.bits ^ ((1 << m.order) - 1)",
+        "m.bits ^ ((1 << (m.order + 1)) - 1)",
+        ("tests/test_mask_set.py::test_complement_matches_set_oracle",),
+    ),
+    Mutant(
+        "select-bit-never-draws-the-top-rank",
+        "rng_choice.py",
+        "range(src.next_below(bits.bit_count()))",
+        "range(src.next_below(bits.bit_count() - 1 or 1))",
+        ("tests/test_rng_choice.py::test_select_bit_follows_the_rank_rule",),
     ),
     Mutant(
         "repair-odds-from-the-first-column",
@@ -342,6 +367,13 @@ MUTANTS = (
         'f"square {i + 1} (seed',
         'f"square (seed',
         ("tests/test_cli.py::test_a_worker_that_ends_early_ends_the_batch_in_one_error_line",),
+    ),
+    Mutant(
+        "early-end-names-no-signal",
+        "cli.py",
+        "if os.WIFSIGNALED(status):",
+        "if False:",
+        ("tests/test_cli.py::test_a_worker_that_ends_early_ends_the_batch_in_one_error_line[killed]",),
     ),
 )
 

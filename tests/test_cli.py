@@ -17,6 +17,7 @@ import json
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 import threading
@@ -328,32 +329,46 @@ def test_a_forked_batch_into_a_closed_pipe_leaves_nothing(monkeypatch):
     assert_nothing_left(descriptors)
 
 
+UNNAMED_SIGNAL = signal.SIGRTMIN + 1 if hasattr(signal, "SIGRTMIN") else None  # not in signal.Signals
+
+
 @pytest.mark.parametrize(
-    "failing, line",
+    "seed, failing, kill, line",
     [
-        (1, "square 2 (seed 6) was not drawn: worker 1 ended early"),
-        (2, "square 3 (seed 7) was not drawn: worker 2 ended early"),
-        (4, "square 5 (seed 9) was not drawn: worker 1 ended early"),
+        (5, 6, None, "square 2 (seed 6) was not drawn: worker 1 ended early"),
+        (5, 7, None, "square 3 (seed 7) was not drawn: worker 2 ended early"),
+        (5, 9, None, "square 5 (seed 9) was not drawn: worker 1 ended early"),
+        (5, 6, signal.SIGKILL, "square 2 (seed 6) was not drawn: worker 1 was killed by signal 9 (SIGKILL)"),
+        pytest.param(
+            5, 6, UNNAMED_SIGNAL, f"square 2 (seed 6) was not drawn: worker 1 was killed by signal {UNNAMED_SIGNAL}",
+            marks=pytest.mark.skipif(UNNAMED_SIGNAL is None, reason="no real-time signals"),
+        ),
+        (2**64 - 1, 0, None, "square 2 (seed 0) was not drawn: worker 1 ended early"),
     ],
-    ids=["worker-1-first", "worker-2-first", "worker-1-second"],
+    ids=["worker-1-first", "worker-2-first", "worker-1-second", "killed", "killed-by-unnamed-signal", "seed-wrap"],
 )
-def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch, failing, line):
+def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch, seed, failing, kill, line):
     """A worker that fails leaves a short frame: the batch ends in exit 2
     and one error line that names the first square it did not send, from
-    1, and that square's seed, and no worker or pipe is left.  Of three
-    processes, worker k draws squares k, k + 3, ... counted from 0, and
-    square i of the batch is drawn from its seed 5 + i."""
+    1, that square's seed, and the signal that killed the worker, if one
+    did; and no worker or pipe is left.  Of three processes, worker k
+    draws squares k, k + 3, ... counted from 0, and square i of the batch
+    is drawn from its seed ``seed + i``, modulo 2**64."""
     parent = os.getpid()
 
     def generate_failing_in_a_worker(order, src):
-        if os.getpid() != parent and src.seed == 5 + failing:
+        if os.getpid() != parent and src.seed == failing:
+            if kill:
+                os.kill(os.getpid(), kill)
             raise RuntimeError("a worker fails")
         return generate(order, src)
 
     _cpus(monkeypatch, 3)
     monkeypatch.setattr(cli, "generate", generate_failing_in_a_worker)
+    argv = list(FORKED_BATCH)
+    argv[argv.index("--seed") + 1] = str(seed)
     descriptors = open_descriptors()
-    code, _, err = in_process(FORKED_BATCH)
+    code, _, err = in_process(argv)
     assert (code, err) == (2, f"error: {line}\n")
     assert_nothing_left(descriptors)
 
