@@ -95,12 +95,13 @@ def test_singleton_out_of_range():
         singleton(0, 12)
 
 
-def test_singleton_membership_all_orders():
-    for n in range(1, 65):
-        for a in range(1, n + 1):
-            m = singleton(a, n)
-            assert popcount(m) == 1
-            assert contains(m, a)
+@pytest.mark.parametrize("n", range(1, 65))
+def test_singleton_membership_all_orders(n):
+    for a in range(1, n + 1):
+        m = singleton(a, n)
+        assert m == SubsetMask(1 << (a - 1), n)
+        assert popcount(m) == 1
+        assert contains(m, a)
 
 
 # ---------------------------------------------------------------- encode/decode
@@ -157,11 +158,11 @@ def test_contains_out_of_range():
         contains(SubsetMask(13, 12), 0)
 
 
-def test_popcount_equals_membership_sum_exhaustive():
-    for n in range(1, 17):
-        for bits in range(1 << n):
-            m = SubsetMask(bits, n)
-            assert popcount(m) == sum(contains(m, i) for i in range(1, n + 1))
+@pytest.mark.parametrize("n", range(1, 17))
+def test_popcount_equals_membership_sum_exhaustive(n):
+    for bits in range(1 << n):
+        m = SubsetMask(bits, n)
+        assert popcount(m) == sum(contains(m, i) for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------- popcount

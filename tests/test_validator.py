@@ -79,20 +79,20 @@ def test_order_above_word_width_rejected():
         is_latin(cyclic)
 
 
-def test_mutation_detection_exhaustive_small_orders():
+@pytest.mark.parametrize("n", range(2, 5))
+def test_mutation_detection_exhaustive_small_orders(n):
     # flipping any single cell of a valid square to another symbol breaks it
-    for n in range(2, 5):
-        for square in enumerate_all(n):
-            cells = [list(row) for row in square.cells]
-            for i in range(n):
-                for j in range(n):
-                    original = cells[i][j]
-                    for other in range(1, n + 1):
-                        if other == original:
-                            continue
-                        cells[i][j] = other
-                        assert not is_latin(cells)
-                    cells[i][j] = original
+    for square in enumerate_all(n):
+        cells = [list(row) for row in square.cells]
+        for i in range(n):
+            for j in range(n):
+                original = cells[i][j]
+                for other in range(1, n + 1):
+                    if other == original:
+                        continue
+                    cells[i][j] = other
+                    assert not is_latin(cells)
+                cells[i][j] = original
 
 
 # ------------------------------------------------- per-cell reference
