@@ -250,14 +250,14 @@ CELLS_PER_PROCESS = 4096  # the least drawing, about 4 ms, that pays for a fork 
 
 def _processes(count: int, order: int) -> int:
     """How many processes draw a batch: one per usable CPU, so long as
-    each has ``CELLS_PER_PROCESS`` cells to draw; one where there is no
-    ``os.fork``, or where a second thread runs, since a child forked from
-    a threaded process may deadlock."""
+    each has ``CELLS_PER_PROCESS`` cells and at least one square to draw;
+    one where there is no ``os.fork``, or where a second thread runs,
+    since a child forked from a threaded process may deadlock."""
     threading = sys.modules.get("threading")  # not imported: a threaded caller has loaded it
     if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, count * order * order // CELLS_PER_PROCESS))
+    return max(1, min(cpus, count, count * order * order // CELLS_PER_PROCESS))
 
 
 def _fork_worker(readers: list, k: int, count: int, draw) -> int | None:

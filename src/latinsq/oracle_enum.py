@@ -2,15 +2,21 @@
 
 Ground truth for counting and reachability tests, kept deliberately
 independent of the random generator: one plain recursive depth-first
-search, ``_fill``, that completes a partly filled grid cell by cell in
-row-major order, trying symbols in ascending order, with packed-set
-pruning but none of the generator's machinery. Its state is one record
-per cell to fill and one packed word per column, passed as arguments, so
-it holds no reference to itself and is freed when it returns. Counting
-runs it once per cycle type of the second row, with the records written
-down from that row alone; a partly filled grid gets them from one scan.
+search, ``_search``, that fills a grid row by row. A row is one word of
+n*n bits whose n-bit field j holds column j's symbol as one bit, so the
+search's state is one word ``used`` of the same layout, each column's
+symbols so far, and one ``&`` tests a candidate row against every
+column. The candidates are the packed permutations of 1..n, from a table
+built once per order on first use. The state is passed as arguments, so
+the search holds no reference to itself and is freed when it returns.
+Counting runs it once per cycle type of the second row, from the word of
+rows 1 and 2 written down from that row alone, memoises each state's
+count for the one call, and closes the last two rows by their cycles;
+a partly filled grid is searched down to its last row, which is forced.
 """
 
+import functools
+from itertools import permutations
 from math import factorial, prod
 
 from .mask_set import check_order
@@ -95,24 +101,38 @@ def _cycle_row(parts: tuple[int, ...]) -> list[int]:
     return row
 
 
+@functools.cache
+def _rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations of 1..n as packed rows, built once per order on
+    first use: the row with symbol v in column j has bit j*n + v - 1 set.
+    Entry s - 1 holds the rows whose first symbol is s, in lexicographic
+    order, so the entries in turn hold them all in that order."""
+    groups = [[] for _ in range(n)]
+    for perm in permutations(range(n)):
+        groups[perm[0]].append(sum(1 << (j * n + v) for j, v in enumerate(perm)))
+    return tuple(map(tuple, groups))
+
+
 def _extensions(second: list[int]) -> int:
     """E'(σ): the completions of the grid with row 1 the identity, row 2
     ``second`` and column 1 of rows 3..n the other symbols ascending.
 
-    ``_fill``'s records are written down from σ, in O(n), with no scan of
-    the grid: rows 1 and 2 and column 1 are full, so rows 3..n-1 are
-    searched from column 2 on, each starting from its column-1 symbol, and
-    column j holds j and σ(j). The last row's cells in columns 2..n are
-    forced; at n = 2 the last row is σ itself, and nothing is forced.
+    Rows 1 and 2 are written down from σ as one word, in O(n): column j
+    holds j and σ(j). Rows 3..n-2 are searched, each among the rows that
+    start with its column-1 symbol, so column 1 needs no test; the last
+    two rows are closed by ``_two_rows``. Below n = 4 at most one row is
+    left, and it is forced.
     """
     n = len(second)
-    full = (1 << n) - 1
+    if n < 4:
+        return 1
+    used = 0
+    for j, s in enumerate(second):
+        used |= 1 << (j * n + j) | 1 << (j * n + s - 1)
+    rows = _rows(n)
     below = [s for s in range(2, n + 1) if s != second[0]]
-    grid = [list(range(1, n + 1)), list(second)] + [[s] + [0] * (n - 1) for s in below]
-    col_used = [full] + [1 << j | 1 << (second[j] - 1) for j in range(1, n)]
-    cells = [(row, j, 1 << (row[0] - 1) if j == 1 else None) for row in grid[2:-1] for j in range(1, n)]
-    forced = range(1, n) if n > 2 else ()
-    return _fill(0, 0, cells, col_used, full, forced, grid, None)
+    plan = tuple((rows[s - 1], 0) for s in below[:-2])
+    return _search(0, used, n, plan, {}, None, None)
 
 
 def _completions(grid: list[list[int]], visit=None) -> int:
@@ -121,66 +141,103 @@ def _completions(grid: list[list[int]], visit=None) -> int:
     in lexicographic row-major order; the nonzero cells stay fixed, and
     must not repeat a symbol in a row or column themselves.
 
-    One scan of the grid writes ``_fill``'s records and column masks.
+    Each row's nonzero cells are one word, and ``used`` starts as their
+    union. Rows 1..n-1 are searched, a row whose first cell is kept only
+    among the rows that start with it.
 
     The grid is filled in place, so copy a visited grid to keep it.
     """
     n = len(grid)
-    col_used = [0] * n
-    cells = []
-    for i, row in enumerate(grid):
-        start = 0
-        for j, v in enumerate(row):
+    rows = _rows(n)
+    every = sum(rows, ())
+    used = 0
+    plan = []
+    for line in grid:
+        kept = 0
+        for j, v in enumerate(line):
             if v:
-                start |= 1 << (v - 1)
-                col_used[j] |= 1 << (v - 1)
-        if i == n - 1:  # the last row is forced, not searched
-            break
-        for j, v in enumerate(row):
-            if not v:
-                cells.append((row, j, start))
-                start = None
-    forced = [j for j, v in enumerate(grid[-1]) if not v]
-    return _fill(0, 0, cells, col_used, (1 << n) - 1, forced, grid, visit)
+                kept |= 1 << (j * n + v - 1)
+        used |= kept
+        plan.append((rows[line[0] - 1] if line[0] else every, kept))
+    return _search(0, used, n, tuple(plan[:-1]), None, grid, visit)
 
 
-def _fill(k, used, cells, col_used, full, forced, grid, visit) -> int:
-    """Count the fills of ``cells[k:]`` by depth-first search, writing
-    each into ``grid`` in place, as ``_completions`` describes; ``used``
-    holds the current row's symbols so far.
+def _search(k, used, n, plan, memo, grid, visit) -> int:
+    """Count the fills of the rows that ``plan[k:]`` stands for and of
+    those after them, given ``used``, whose n-bit field j holds column j's
+    symbols so far, kept cells included.
 
-    A record ``(row, j, start)`` is one zero cell of rows 1..n-1, in
-    row-major order: its grid row, its column, and, at a row's first zero
-    cell only, that row's fixed symbols (None elsewhere), from which
-    ``used`` restarts. So a tried symbol updates only ``col_used[j]``, the
-    packed symbols of column j, which is restored before the return.
+    ``plan[k]`` is the next row's candidates and ``kept``, the word of its
+    kept cells. A candidate fits when ``row & used == kept``: it has the
+    kept cells and no other symbol its column has, one ``&`` for every
+    column.
 
-    Only rows 1..n-1 are searched. Once each is a permutation, every symbol
-    is missing from exactly one column, and a symbol kept in the last row
-    is missing only from its own column, since the search keeps it out of
-    that column. So each of the last row's zero cells, in the columns
-    ``forced``, takes the one symbol its column lacks, and every fill of
-    rows 1..n-1 completes, exactly once: past the last record those cells
-    are written and ``visit(grid)`` is called.
+    Counting (``memo`` a dict, which lives for one call) stores each
+    state's count under ``used``, and ends with two rows left, closed by
+    ``_two_rows``. Otherwise each fitting row is written into ``grid`` when
+    there is a ``visit``, and the search ends with the last row left. Once
+    rows 1..n-1 are permutations, every symbol is missing from exactly
+    one column, and a symbol kept in the last row only from its own
+    column, since ``used`` kept it out of that column. So the last row's
+    zero cells take the one symbol their columns lack, and every fill of
+    rows 1..n-1 completes, exactly once: they are written, and
+    ``visit(grid)`` is called.
     """
-    if k == len(cells):
-        last = grid[-1]
-        for j in forced:
-            last[j] = (full ^ col_used[j]).bit_length()
+    if memo is not None:
+        found = memo.get(used)
+        if found is not None:
+            return found
+    full = (1 << n) - 1
+    if k < len(plan):
+        candidates, kept = plan[k]
+        found = 0
+        for row in candidates:
+            if row & used == kept:
+                if visit is not None:
+                    grid[k][:] = [(row >> s & full).bit_length() for s in range(0, n * n, n)]
+                found += _search(k + 1, used | row, n, plan, memo, grid, visit)
+    elif memo is not None:
+        found = _two_rows(used, n)
+    else:
         if visit is not None:
+            last = grid[-1]
+            for j in range(n):
+                if v := (~used >> j * n & full).bit_length():
+                    last[j] = v
             visit(grid)
         return 1
-    row, j, start = cells[k]
-    if start is not None:
-        used = start
-    column = col_used[j]
-    avail = full ^ (used | column)
-    found = 0
-    while avail:
-        bit = avail & -avail
-        avail ^= bit
-        row[j] = bit.bit_length()
-        col_used[j] = column | bit
-        found += _fill(k + 1, used | bit, cells, col_used, full, forced, grid, visit)
-    col_used[j] = column
+    if memo is not None:
+        memo[used] = found
     return found
+
+
+def _two_rows(used: int, n: int) -> int:
+    """The fills of the last two rows, given ``used`` with two symbols
+    missing from each column, and column 1's order fixed: 2^(cycles − 1).
+
+    Each symbol is missing from exactly two columns, so joining each
+    column to its two missing symbols makes a union of cycles. A fill of
+    the two rows orients each cycle one of two ways, and column 1's fixed
+    order orients its own. Each cycle is walked on the word of missing
+    symbols, ``free``, taking each column's pair out as it is passed: the
+    other column that misses symbol ``at`` is then the one field of
+    ``free & at * spread`` that is not zero, with ``spread`` one bit in
+    every field.
+    """
+    full = (1 << n) - 1
+    free = ((1 << n * n) - 1) ^ used
+    spread = ((1 << n * n) - 1) // full
+    cycles = 0
+    while free:
+        shift = (free.bit_length() - 1) // n * n
+        pair = free >> shift & full
+        free ^= pair << shift
+        start = pair & -pair
+        at = pair ^ start
+        while at != start:
+            shift = ((free & at * spread).bit_length() - 1) // n * n
+            pair = free >> shift & full
+            free ^= pair << shift
+            at ^= pair
+        cycles += 1
+    return 1 << cycles - 1

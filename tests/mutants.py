@@ -110,48 +110,51 @@ MUTANTS = (
         ("tests/test_latin_gen.py::test_repair_draws_every_candidate_equally_often",),
     ),
     Mutant(
+        "candidate-test-skips-the-last-column",
+        "oracle_enum.py",
+        "if row & used == kept:",
+        "if row & used & (1 << n * n - n) - 1 == kept:",
+        ("tests/test_oracle_enum.py::test_cycle_type_law[5]",),
+    ),
+    Mutant(
+        "candidate-may-drop-a-kept-cell",
+        "oracle_enum.py",
+        "if row & used == kept:",
+        "if not row & used & ~kept:",
+        ("tests/test_oracle_enum.py::test_completions_of_blanked_squares[3]",),
+    ),
+    Mutant(
+        "sigma-left-out-of-the-two-row-word",
+        "oracle_enum.py",
+        "1 << (j * n + j) | 1 << (j * n + s - 1)",
+        "1 << (j * n + j)",
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
+            "tests/test_oracle_enum.py::test_extensions_depend_only_on_cycle_type[5]",
+        ),
+    ),
+    Mutant(
+        "two-rows-closed-as-2-to-the-cycles",
+        "oracle_enum.py",
+        "return 1 << cycles - 1",
+        "return 1 << cycles",
+        ("tests/test_oracle_enum.py::test_cycle_type_law[4]",),
+    ),
+    Mutant(
+        "memo-keyed-on-the-cells-filled",
+        "oracle_enum.py",
+        "_search(0, used, n, plan, {}, None, None)",
+        "_search(0, used, n, plan, type('ByCount', (dict,), {"
+        "'get': lambda self, key: dict.get(self, key.bit_count()), "
+        "'__setitem__': lambda self, key, value: dict.__setitem__(self, key.bit_count(), value)})(), None, None)",
+        ("tests/test_oracle_enum.py::test_cycle_type_law[6]",),
+    ),
+    Mutant(
         "last-row-left-unwritten",
         "oracle_enum.py",
-        "last[j] = (full ^ col_used[j]).bit_length()",
-        "pass",
-        ("tests/test_oracle_enum.py::test_completions_of_blanked_squares",),
-    ),
-    Mutant(
-        "row-symbols-carried-across-rows",
-        "oracle_enum.py",
-        "    if start is not None:\n        used = start\n",
-        "",
-        (
-            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
-            "tests/test_oracle_enum.py::test_extensions_depend_only_on_cycle_type[5]",
-        ),
-    ),
-    Mutant(
-        "column-mask-misses-sigma",
-        "oracle_enum.py",
-        "1 << j | 1 << (second[j] - 1)",
-        "1 << j",
-        (
-            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
-            "tests/test_oracle_enum.py::test_extensions_depend_only_on_cycle_type[5]",
-        ),
-    ),
-    Mutant(
-        "extensions-row-start-off-column-2",
-        "oracle_enum.py",
-        "if j == 1 else None",
-        "if j == 2 else None",
-        (
-            "tests/test_oracle_enum.py::test_cycle_type_law[4]",
-            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
-        ),
-    ),
-    Mutant(
-        "completions-row-start-kept-past-the-first-zero",
-        "oracle_enum.py",
-        "                start = None\n",
-        "",
-        ("tests/test_oracle_enum.py::test_completions_of_blanked_squares",),
+        "                    last[j] = v\n",
+        "                    pass\n",
+        ("tests/test_oracle_enum.py::test_completions_of_blanked_squares[3]",),
     ),
     Mutant(
         "error-keeps-the-exception",
@@ -353,6 +356,13 @@ MUTANTS = (
             "tests/test_cli.py::test_cli_case[generate-forked-batch]",
             "tests/test_cli.py::test_a_forked_batch_into_a_closed_pipe_leaves_nothing",
         ),
+    ),
+    Mutant(
+        "workers-not-capped-at-the-count",
+        "cli.py",
+        "min(cpus, count, count * order * order",
+        "min(cpus, count * order * order",
+        ("tests/test_cli.py::test_a_batch_forks_no_more_processes_than_squares",),
     ),
     Mutant(
         "threaded-caller-forks",

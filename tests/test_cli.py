@@ -112,6 +112,8 @@ def test_start_up_loads_no_dataclasses_and_json_only_on_json_paths():
         "sys.stdin = io.StringIO('{\"order\": 1, \"cells\": [[1]]}')\n"
         "latinsq.cli.main(['validate', '-'])\n"
         "print('json' in sys.modules)\n"
+        "latinsq.cli.main(['count', '--order', '1'])\n"
+        "print(latinsq.oracle_enum._rows.cache_info().currsize)\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -120,9 +122,10 @@ def test_start_up_loads_no_dataclasses_and_json_only_on_json_paths():
         text=True,
         check=True,
     )
-    # JSON output is spelled without json; JSON input loads it
+    # JSON output is spelled without json; JSON input loads it; counting
+    # order 1 builds no table of packed rows
     assert done.stdout.splitlines() == [
-        "[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "False", "VALID", "True"
+        "[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "False", "VALID", "True", "1", "0"
     ]
 
 
@@ -314,6 +317,27 @@ def test_a_forked_batch_is_the_batch_drawn_by_one_process(monkeypatch, order, co
     for cpus in (3, 1):
         _cpus(monkeypatch, cpus)
         assert in_process(batch) == (0, expected, "")
+
+
+def test_a_batch_forks_no_more_processes_than_squares(monkeypatch):
+    """With a process for every cell and 8 CPUs, a batch of 3 squares is
+    drawn by 3 processes, not 8, and is the batch one process draws."""
+    batch = ["generate", "-n", "4", "--count", "3", "--seed", "2"]
+    _cpus(monkeypatch, 1)
+    expected = in_process(batch)
+    assert expected[0] == 0
+    widths = []
+    fork_worker = cli._fork_worker
+
+    def recording(readers, k, count, draw):
+        widths.append(len(readers))
+        return fork_worker(readers, k, count, draw)
+
+    monkeypatch.setattr(cli, "_fork_worker", recording)
+    monkeypatch.setattr(cli, "CELLS_PER_PROCESS", 1)
+    _cpus(monkeypatch, 8)
+    assert in_process(batch) == expected
+    assert widths == [3, 3]
 
 
 def test_a_forked_batch_into_a_closed_pipe_leaves_nothing(monkeypatch):

@@ -15,6 +15,7 @@ from latinsq.oracle_enum import (
     _cycle_row,
     _derangement_types,
     _extensions,
+    _rows,
     count_all,
     cycle_type_law,
     enumerate_all,
@@ -173,6 +174,25 @@ def test_extensions_depend_only_on_cycle_type(n):
         assert _extensions(list(row)) == canonical[parts], row
     assert by_type == {parts: _class_size(parts) for parts in canonical}
     assert canonical == EXTENSIONS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_table_holds_each_permutation_once_by_first_symbol(n):
+    """Entry s - 1 of the order-n table is the permutations that start with
+    s, in lexicographic order, each a word with one bit in each n-bit
+    field: the bit of symbol v in column j is bit j*n + v - 1."""
+    table = _rows(n)
+    assert len(table) == n
+    field = (1 << n) - 1
+    spelled = []
+    for s, words in enumerate(table, 1):
+        for word in words:
+            assert 0 < word < 1 << n * n
+            fields = [word >> j * n & field for j in range(n)]
+            assert all(f.bit_count() == 1 for f in fields), word
+            spelled.append(tuple(f.bit_length() for f in fields))
+            assert spelled[-1][0] == s
+    assert spelled == list(permutations(range(1, n + 1)))
 
 
 @pytest.mark.parametrize("n, derangements", sorted(DERANGEMENTS.items()))
