@@ -260,35 +260,35 @@ def _processes(count: int, order: int) -> int:
     return max(1, min(cpus, count, count * order * order // CELLS_PER_PROCESS))
 
 
-def _fork_worker(readers: list, k: int, count: int, draw) -> int | None:
-    """Fork worker k of the ``len(readers)`` processes drawing a batch of
-    ``count``: it writes squares k, k + len(readers), ... as ``draw``
-    renders them to its own pipe, each as a 4-byte length and its UTF-8,
-    flushed square by square.  Set ``readers[k]`` to the pipe's read end
-    and return the worker's pid; return None where the fork fails, so
+def _fork_worker(workers: dict, k: int, width: int, count: int, draw) -> None:
+    """Fork worker k of the ``width`` processes drawing a batch of
+    ``count``: it writes squares k, k + width, ... as ``draw`` renders
+    them to its own pipe, each as a 4-byte length and its UTF-8, flushed
+    square by square.  Once the pipe and the fork have both succeeded, add
+    ``workers[k] = (reader, pid)``; where either fails, add nothing, so
     that this process draws worker k's squares itself."""
-    read_end, write_end = os.pipe()
+    ends = ()
     try:
+        ends = read_end, write_end = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
+        for end in ends:
+            os.close(end)
+        return
     if pid:
         os.close(write_end)
-        readers[k] = open(read_end, "rb")
-        return pid
+        workers[k] = (open(read_end, "rb"), pid)
+        return
     # the worker writes no standard stream, and leaves by os._exit however
     # it ends, so that no traceback, exit handler or buffer of the parent's
     # is written twice; a write after the parent has gone fails with EPIPE
     status = 1
     try:
         os.close(read_end)
-        for reader in readers:
-            if reader is not None:
-                reader.close()
+        for reader, _ in workers.values():
+            reader.close()
         with open(write_end, "wb") as pipe:
-            for i in range(k, count, len(readers)):
+            for i in range(k, count, width):
                 data = draw(i).encode()
                 pipe.write(len(data).to_bytes(4, "big"))
                 pipe.write(data)
@@ -298,18 +298,21 @@ def _fork_worker(readers: list, k: int, count: int, draw) -> int | None:
         os._exit(status)
 
 
-def _frame(reader, i: int, k: int, base: RandomSource, pids: dict) -> str:
-    """Square i of the batch, the next that worker k wrote to ``reader``.
-    A short frame means the worker has ended: reap it, taking it out of
-    ``pids``, and name the square it did not send and how it ended."""
+def _frame(workers: dict, i: int, k: int, base: RandomSource) -> str:
+    """Square i of the batch, the next that worker k wrote to its pipe.
+    A short frame means the worker has ended: drop it from ``workers``,
+    close its pipe, reap it, and name the unsent square and how it ended."""
+    reader, pid = workers[k]
     head = reader.read(4)
     if len(head) == 4:
         size = int.from_bytes(head, "big")
         data = reader.read(size)
         if len(data) == size:
             return data.decode()
+    del workers[k]
+    reader.close()
     ending = "ended early"
-    status = os.waitpid(pids.pop(k), 0)[1]
+    status = os.waitpid(pid, 0)[1]
     if os.WIFSIGNALED(status):
         import signal  # only a failing batch names a signal
 
@@ -337,28 +340,24 @@ def _cmd_generate(args) -> int:
     def draw(i):
         return render(generate(args.order, base.spawn(i)).square.cells)
 
-    # square i is drawn by process i % len(readers): this one is process 0,
-    # and each other has a pipe, read square by square as each is written
-    readers = [None] * _processes(args.count, args.order)
-    pids = {}  # worker k -> pid, until it is reaped
+    # square i is drawn by process i % width: this one is process 0, and
+    # each worker has a pipe, read square by square as each is written
+    width = _processes(args.count, args.order)
+    workers = {}  # worker k -> (reader, pid), until it is reaped
     try:
-        for k in range(1, len(readers)):
-            pid = _fork_worker(readers, k, args.count, draw)
-            if pid is not None:
-                pids[k] = pid
+        for k in range(1, width):
+            _fork_worker(workers, k, width, args.count, draw)
         write = sys.stdout.write
         write(opening)
         for i in range(args.count):
             if i:
                 write(separator)
-            k = i % len(readers)
-            write(draw(i) if readers[k] is None else _frame(readers[k], i, k, base, pids))
+            k = i % width
+            write(_frame(workers, i, k, base) if k in workers else draw(i))
         write(closing)
     finally:
-        for reader in readers:
-            if reader is not None:
-                reader.close()
-        for pid in pids.values():
+        for reader, pid in workers.values():
+            reader.close()
             os.waitpid(pid, 0)
     return EXIT_OK
 

@@ -72,18 +72,18 @@ def cycle_type_law(n: int) -> dict[tuple[int, ...], int]:
     return {parts: _class_size(parts) * _extensions(_cycle_row(parts)) for parts in types}
 
 
-def _derangement_types(n: int, smallest: int = 2):
-    """Yield each partition of n into parts of at least ``smallest``, as a
+@functools.cache
+def _derangement_types(n: int, smallest: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Each partition of n into parts of at least ``smallest``, as a
     non-decreasing tuple: with the default 2, the cycle types of the
     derangements of n symbols."""
     if n == 0:
-        yield ()
-        return
-    for part in range(smallest, n + 1):
-        for rest in _derangement_types(n - part, part):
-            yield (part,) + rest
+        return ((),)
+    parts = range(smallest, n + 1)
+    return tuple((part,) + rest for part in parts for rest in _derangement_types(n - part, part))
 
 
+@functools.cache
 def _class_size(parts: tuple[int, ...]) -> int:
     """Number of permutations whose cycle lengths are ``parts``: n!/z_λ,
     with z_λ the product over each length k of k^m m! (m cycles of k)."""
@@ -91,14 +91,15 @@ def _class_size(parts: tuple[int, ...]) -> int:
     return factorial(sum(parts)) // z
 
 
-def _cycle_row(parts: tuple[int, ...]) -> list[int]:
+@functools.cache
+def _cycle_row(parts: tuple[int, ...]) -> tuple[int, ...]:
     """One permutation of 1..n, as a row, with cycle lengths ``parts``:
     each cycle shifts a run of consecutive symbols by one."""
     row = []
     for part in parts:
         start = len(row)
         row += [start + (k + 1) % part + 1 for k in range(part)]
-    return row
+    return tuple(row)
 
 
 @functools.cache
@@ -113,7 +114,7 @@ def _rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups))
 
 
-def _extensions(second: list[int]) -> int:
+def _extensions(second: tuple[int, ...]) -> int:
     """E'(σ): the completions of the grid with row 1 the identity, row 2
     ``second`` and column 1 of rows 3..n the other symbols ascending.
 

@@ -340,8 +340,8 @@ MUTANTS = (
     Mutant(
         "worker-stride-one-short",
         "cli.py",
-        "range(k, count, len(readers))",
-        "range(k, count, len(readers) - 1)",
+        "range(k, count, width)",
+        "range(k, count, width - 1)",
         tuple(
             f"tests/test_cli.py::test_a_forked_batch_is_the_batch_drawn_by_one_process[{case}]"
             for case in ("12-100-grid", "24-30-exp", "64-4-json")
@@ -356,6 +356,13 @@ MUTANTS = (
             "tests/test_cli.py::test_cli_case[generate-forked-batch]",
             "tests/test_cli.py::test_a_forked_batch_into_a_closed_pipe_leaves_nothing",
         ),
+    ),
+    Mutant(
+        "failed-pipe-raises",
+        "cli.py",
+        "    ends = ()\n    try:\n        ends = read_end, write_end = os.pipe()\n",
+        "    ends = read_end, write_end = os.pipe()\n    try:\n",
+        ("tests/test_cli.py::test_a_failed_fork_leaves_the_batch_to_this_process[pipe]",),
     ),
     Mutant(
         "workers-not-capped-at-the-count",

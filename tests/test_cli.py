@@ -9,6 +9,7 @@ library or another request gives.  Two tests read a real file where a row reads 
 """
 
 import ast
+import errno
 import functools
 import gc
 import hashlib
@@ -329,9 +330,9 @@ def test_a_batch_forks_no_more_processes_than_squares(monkeypatch):
     widths = []
     fork_worker = cli._fork_worker
 
-    def recording(readers, k, count, draw):
-        widths.append(len(readers))
-        return fork_worker(readers, k, count, draw)
+    def recording(workers, k, width, count, draw):
+        widths.append(width)
+        return fork_worker(workers, k, width, count, draw)
 
     monkeypatch.setattr(cli, "_fork_worker", recording)
     monkeypatch.setattr(cli, "CELLS_PER_PROCESS", 1)
@@ -413,21 +414,27 @@ def test_a_threaded_caller_draws_the_batch_in_one_process(monkeypatch):
     assert not waiting.is_alive()
 
 
-def test_a_failed_fork_leaves_the_batch_to_this_process(monkeypatch):
-    """Where ``os.fork`` fails, this process draws the worker's squares
+@pytest.mark.parametrize(
+    "call, error, number",
+    [("fork", BlockingIOError, errno.EAGAIN), ("pipe", OSError, errno.EMFILE)],
+    ids=["fork", "pipe"],
+)
+def test_a_failed_fork_leaves_the_batch_to_this_process(monkeypatch, call, error, number):
+    """Where ``os.fork`` or ``os.pipe`` fails, as it does where no process
+    or no descriptor is left, this process draws the worker's squares
     itself, and writes the same bytes."""
     expected = in_process(FORKED_BATCH)
-    forks = []
+    calls = []
 
     def refuse():
-        forks.append(1)
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+        calls.append(1)
+        raise error(number, os.strerror(number))
 
     _cpus(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, call, refuse)
     descriptors = open_descriptors()
     assert in_process(FORKED_BATCH) == expected
-    assert forks == [1, 1]
+    assert calls == [1, 1]
     assert_nothing_left(descriptors)
 
 
