@@ -312,7 +312,7 @@ def _frame(workers: dict, i: int, k: int, base: RandomSource) -> str:
     del workers[k]
     reader.close()
     ending = "ended early"
-    status = os.waitpid(pid, 0)[1]
+    status = _reap(pid)
     if os.WIFSIGNALED(status):
         import signal  # only a failing batch names a signal
 
@@ -322,6 +322,16 @@ def _frame(workers: dict, i: int, k: int, base: RandomSource) -> str:
         except ValueError:  # a real-time signal has no name
             ending = f"was killed by signal {number}"
     raise OSError(f"square {i + 1} (seed {base.spawn(i).seed}) was not drawn: worker {k} {ending}")
+
+
+def _reap(pid: int) -> int:
+    """Wait for worker ``pid`` to end, and return its wait status: 0,
+    which names no signal, where the kernel has reaped it already, as it
+    does for a caller that ignores SIGCHLD."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return 0
 
 
 def _cmd_generate(args) -> int:
@@ -355,10 +365,11 @@ def _cmd_generate(args) -> int:
             k = i % width
             write(_frame(workers, i, k, base) if k in workers else draw(i))
         write(closing)
-    finally:
-        for reader, pid in workers.values():
+    finally:  # every pipe closed before any wait: a wait cut short leaves none open
+        for reader, _ in workers.values():
             reader.close()
-            os.waitpid(pid, 0)
+        for _, pid in workers.values():
+            _reap(pid)
     return EXIT_OK
 
 

@@ -2,22 +2,23 @@
 
 Ground truth for counting and reachability tests, kept deliberately
 independent of the random generator: one plain recursive depth-first
-search, ``_search``, that fills a grid row by row. A row is one word of
-n*n bits whose n-bit field j holds column j's symbol as one bit, so the
-search's state is one word ``used`` of the same layout, each column's
-symbols so far, and one ``&`` tests a candidate row against every
-column. The candidates are the packed permutations of 1..n, from a table
-built once per order on first use. The state is passed as arguments, so
-the search holds no reference to itself and is freed when it returns.
-Counting runs it once per cycle type of the second row, from the word of
-rows 1 and 2 written down from that row alone, memoises each state's
-count for the one call, and closes the last two rows by their cycles;
-a partly filled grid is searched down to its last row, which is forced.
+search, ``_search``, that chooses a grid's rows in turn. A row is one
+word of n*n bits whose n-bit field j holds column j's symbol as one bit,
+so the search's state is one word ``used`` of the same layout, each
+column's symbols so far, and one ``&`` tests a candidate row against
+every column. The candidates are the packed permutations of 1..n, from a
+table built once per order on first use. The search hands the rows it
+chose to a leaf that its caller passes. Counting runs it once per cycle
+type of the second row, from one census of the permutations, memoises
+each state's count for the one call, and closes the last two rows by
+their cycles; enumeration writes the rows and the forced last row into
+its grid. The state is passed as arguments, so the search holds no
+reference to itself and is freed when it returns.
 """
 
 import functools
 from itertools import permutations
-from math import factorial, prod
+from math import factorial
 
 from .mask_set import check_order
 from .validator import LatinSquare
@@ -48,10 +49,10 @@ def count_all(n: int) -> int:
     column 1 takes (n-2)! squares with rows 1 and 2 fixed to each of the
     E'(σ) completions whose column 1 is ascending below row 2. λ runs over
     the cycle types of derangements, the partitions of n with no part 1,
-    and |C_λ| = n!/z_λ derangements have type λ. E' depends only on λ: for
-    any permutation τ, relabelling each symbol s as τ(s) and moving column
-    c to column τ(c) keeps row 1 the identity and turns row 2 into τστ⁻¹,
-    so the count for one σ of each type stands for its whole class.
+    and |C_λ| derangements have type λ. E' depends only on λ: for any
+    permutation τ, relabelling each symbol s as τ(s) and moving column c
+    to column τ(c) keeps row 1 the identity and turns row 2 into τστ⁻¹, so
+    the count for one σ of each type stands for its whole class.
     """
     weights = cycle_type_law(n)
     if n == 1:  # no derangement of one symbol
@@ -68,38 +69,31 @@ def cycle_type_law(n: int) -> dict[tuple[int, ...], int]:
     probability proportional to its weight. Order 1 has no types.
     """
     check_order(n, COUNT_CAP)
-    types = _derangement_types(n)
-    return {parts: _class_size(parts) * _extensions(_cycle_row(parts)) for parts in types}
+    return {parts: size * _extensions(first) for parts, first, size in _derangement_classes(n)}
 
 
 @functools.cache
-def _derangement_types(n: int, smallest: int = 2) -> tuple[tuple[int, ...], ...]:
-    """Each partition of n into parts of at least ``smallest``, as a
-    non-decreasing tuple: with the default 2, the cycle types of the
-    derangements of n symbols."""
-    if n == 0:
-        return ((),)
-    parts = range(smallest, n + 1)
-    return tuple((part,) + rest for part in parts for rest in _derangement_types(n - part, part))
-
-
-@functools.cache
-def _class_size(parts: tuple[int, ...]) -> int:
-    """Number of permutations whose cycle lengths are ``parts``: n!/z_λ,
-    with z_λ the product over each length k of k^m m! (m cycles of k)."""
-    z = prod(parts) * prod(factorial(parts.count(k)) for k in set(parts))
-    return factorial(sum(parts)) // z
-
-
-@functools.cache
-def _cycle_row(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """One permutation of 1..n, as a row, with cycle lengths ``parts``:
-    each cycle shifts a run of consecutive symbols by one."""
-    row = []
-    for part in parts:
-        start = len(row)
-        row += [start + (k + 1) % part + 1 for k in range(part)]
-    return tuple(row)
+def _derangement_classes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The derangements of 1..n by cycle type, from one walk over the
+    permutations, taken once per order on first use: each cycle type with
+    no part 1, as a non-decreasing tuple, in sorted order, with the first
+    derangement of that type in lexicographic order, as a row, and |C_λ|,
+    how many derangements have it."""
+    classes = {}
+    for row in permutations(range(1, n + 1)):
+        seen, parts = set(), []
+        for start in row:
+            length, at = 0, start
+            while at not in seen:
+                seen.add(at)
+                at, length = row[at - 1], length + 1
+            if length:
+                parts.append(length)
+        if 1 not in parts:
+            parts = tuple(sorted(parts))
+            first, size = classes.get(parts, (row, 0))
+            classes[parts] = first, size + 1
+    return tuple((parts, *classes[parts]) for parts in sorted(classes))
 
 
 @functools.cache
@@ -120,8 +114,8 @@ def _extensions(second: tuple[int, ...]) -> int:
 
     Rows 1 and 2 are written down from σ as one word, in O(n): column j
     holds j and σ(j). Rows 3..n-2 are searched, each among the rows that
-    start with its column-1 symbol, so column 1 needs no test; the last
-    two rows are closed by ``_two_rows``. Below n = 4 at most one row is
+    start with its column-1 symbol, so column 1 needs no test; the leaf
+    ``_two_rows`` closes the last two. Below n = 4 at most one row is
     left, and it is forced.
     """
     n = len(second)
@@ -133,10 +127,10 @@ def _extensions(second: tuple[int, ...]) -> int:
     rows = _rows(n)
     below = [s for s in range(2, n + 1) if s != second[0]]
     plan = tuple((rows[s - 1], 0) for s in below[:-2])
-    return _search(0, used, n, plan, {}, None, None)
+    return _search((), used, plan, {}, lambda path, used: _two_rows(used, n))
 
 
-def _completions(grid: list[list[int]], visit=None) -> int:
+def _completions(grid: list[list[int]], visit=lambda grid: None) -> int:
     """Count the ways to fill the zero cells of ``grid`` so that no row or
     column repeats a symbol, calling ``visit(grid)`` on each completed grid
     in lexicographic row-major order; the nonzero cells stay fixed, and
@@ -144,69 +138,61 @@ def _completions(grid: list[list[int]], visit=None) -> int:
 
     Each row's nonzero cells are one word, and ``used`` starts as their
     union. Rows 1..n-1 are searched, a row whose first cell is kept only
-    among the rows that start with it.
+    among the rows that start with it. Once they are permutations, every
+    symbol is missing from exactly one column, and a symbol kept in the
+    last row only from its own column, since ``used`` kept it out of that
+    column. So the last row's zero cells take the one symbol their columns
+    lack, and every fill of rows 1..n-1 completes, exactly once: the leaf
+    writes them and the last row into ``grid`` and calls ``visit(grid)``.
 
     The grid is filled in place, so copy a visited grid to keep it.
     """
     n = len(grid)
+    full = (1 << n) - 1
     rows = _rows(n)
     every = sum(rows, ())
     used = 0
     plan = []
     for line in grid:
-        kept = 0
-        for j, v in enumerate(line):
-            if v:
-                kept |= 1 << (j * n + v - 1)
+        kept = sum(1 << (j * n + v - 1) for j, v in enumerate(line) if v)
         used |= kept
         plan.append((rows[line[0] - 1] if line[0] else every, kept))
-    return _search(0, used, n, tuple(plan[:-1]), None, grid, visit)
+
+    def leaf(path, used):
+        for line, row in zip(grid, path):
+            line[:] = [(row >> s & full).bit_length() for s in range(0, n * n, n)]
+        for j in range(n):
+            if v := (~used >> j * n & full).bit_length():
+                grid[-1][j] = v
+        visit(grid)
+        return 1
+
+    return _search((), used, tuple(plan[:-1]), None, leaf)
 
 
-def _search(k, used, n, plan, memo, grid, visit) -> int:
-    """Count the fills of the rows that ``plan[k:]`` stands for and of
-    those after them, given ``used``, whose n-bit field j holds column j's
+def _search(path, used, plan, memo, leaf) -> int:
+    """Count the fills of the rows that ``plan`` stands for past the
+    rows in ``path``, given ``used``, whose n-bit field j holds column j's
     symbols so far, kept cells included.
 
-    ``plan[k]`` is the next row's candidates and ``kept``, the word of its
-    kept cells. A candidate fits when ``row & used == kept``: it has the
-    kept cells and no other symbol its column has, one ``&`` for every
-    column.
-
-    Counting (``memo`` a dict, which lives for one call) stores each
-    state's count under ``used``, and ends with two rows left, closed by
-    ``_two_rows``. Otherwise each fitting row is written into ``grid`` when
-    there is a ``visit``, and the search ends with the last row left. Once
-    rows 1..n-1 are permutations, every symbol is missing from exactly
-    one column, and a symbol kept in the last row only from its own
-    column, since ``used`` kept it out of that column. So the last row's
-    zero cells take the one symbol their columns lack, and every fill of
-    rows 1..n-1 completes, exactly once: they are written, and
-    ``visit(grid)`` is called.
+    ``plan[len(path)]`` is the next row's candidates and ``kept``, the
+    word of its kept cells. A candidate fits when ``row & used == kept``:
+    it has the kept cells and no other symbol its column has, one ``&``
+    for every column. Once ``path`` has a row for each entry of ``plan``,
+    the count is ``leaf(path, used)``. A ``memo`` dict, which lives for
+    one call, stores each state's count under ``used``.
     """
-    if memo is not None:
-        found = memo.get(used)
-        if found is not None:
-            return found
-    full = (1 << n) - 1
+    if memo is not None and (found := memo.get(used)) is not None:
+        return found
+    k = len(path)
     if k < len(plan):
         candidates, kept = plan[k]
         found = 0
         for row in candidates:
             if row & used == kept:
-                if visit is not None:
-                    grid[k][:] = [(row >> s & full).bit_length() for s in range(0, n * n, n)]
-                found += _search(k + 1, used | row, n, plan, memo, grid, visit)
-    elif memo is not None:
-        found = _two_rows(used, n)
+                found += _search(path + (row,), used | row, plan, memo, leaf)
     else:
-        if visit is not None:
-            last = grid[-1]
-            for j in range(n):
-                if v := (~used >> j * n & full).bit_length():
-                    last[j] = v
-            visit(grid)
-        return 1
+        found = leaf(path, used)
     if memo is not None:
         memo[used] = found
     return found

@@ -113,7 +113,7 @@ MUTANTS = (
         "candidate-test-skips-the-last-column",
         "oracle_enum.py",
         "if row & used == kept:",
-        "if row & used & (1 << n * n - n) - 1 == kept:",
+        "if row & used & ~(1 << row.bit_length() - 1) == kept:",
         ("tests/test_oracle_enum.py::test_cycle_type_law[5]",),
     ),
     Mutant(
@@ -134,6 +134,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "census-keeps-types-with-a-fixed-point",
+        "oracle_enum.py",
+        "if 1 not in parts:",
+        "if parts:",
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[4]",
+            "tests/test_oracle_enum.py::test_class_sizes_sum_to_derangements[4-9]",
+        ),
+    ),
+    Mutant(
         "two-rows-closed-as-2-to-the-cycles",
         "oracle_enum.py",
         "return 1 << cycles - 1",
@@ -143,17 +153,17 @@ MUTANTS = (
     Mutant(
         "memo-keyed-on-the-cells-filled",
         "oracle_enum.py",
-        "_search(0, used, n, plan, {}, None, None)",
-        "_search(0, used, n, plan, type('ByCount', (dict,), {"
+        "_search((), used, plan, {},",
+        "_search((), used, plan, type('ByCount', (dict,), {"
         "'get': lambda self, key: dict.get(self, key.bit_count()), "
-        "'__setitem__': lambda self, key, value: dict.__setitem__(self, key.bit_count(), value)})(), None, None)",
+        "'__setitem__': lambda self, key, value: dict.__setitem__(self, key.bit_count(), value)})(),",
         ("tests/test_oracle_enum.py::test_cycle_type_law[6]",),
     ),
     Mutant(
         "last-row-left-unwritten",
         "oracle_enum.py",
-        "                    last[j] = v\n",
-        "                    pass\n",
+        "                grid[-1][j] = v\n",
+        "                pass\n",
         ("tests/test_oracle_enum.py::test_completions_of_blanked_squares[3]",),
     ),
     Mutant(
@@ -350,11 +360,21 @@ MUTANTS = (
     Mutant(
         "workers-left-unreaped",
         "cli.py",
-        "            os.waitpid(pid, 0)\n",
+        "            _reap(pid)\n",
         "            pass\n",
         (
             "tests/test_cli.py::test_cli_case[generate-forked-batch]",
             "tests/test_cli.py::test_a_forked_batch_into_a_closed_pipe_leaves_nothing",
+        ),
+    ),
+    Mutant(
+        "worker-reaped-already-raises",
+        "cli.py",
+        "    try:\n        return os.waitpid(pid, 0)[1]\n    except ChildProcessError:\n        return 0\n",
+        "    return os.waitpid(pid, 0)[1]\n",
+        (
+            "tests/test_cli.py::test_a_caller_that_ignores_sigchld_gets_the_batch_at_exit_0",
+            "tests/test_cli.py::test_a_worker_that_ends_early_ends_the_batch_in_one_error_line[killed-with-sigchld-ignored]",
         ),
     ),
     Mutant(

@@ -341,6 +341,22 @@ def test_a_batch_forks_no_more_processes_than_squares(monkeypatch):
     assert widths == [3, 3]
 
 
+@pytest.mark.parametrize(
+    "missing, cpu_count, width",
+    [("fork", 3, 1), ("sched_getaffinity", 2, 2), ("sched_getaffinity", None, 1)],
+    ids=["no-fork", "no-affinity", "no-cpu-count"],
+)
+def test_a_platform_without_fork_or_affinity_counts_its_processes(monkeypatch, missing, cpu_count, width):
+    """A batch of 100 order-12 squares has cells enough for three
+    processes.  Without ``os.fork`` one process draws it; without
+    ``os.sched_getaffinity`` the usable CPUs are ``os.cpu_count()``, or
+    one where that is None."""
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.delattr(os, missing)
+    assert cli._processes(100, 12) == width
+
+
 def test_a_forked_batch_into_a_closed_pipe_leaves_nothing(monkeypatch):
     """A batch whose stdout fails mid-way closes its pipes, reaps its
     workers and ends in one error line."""
@@ -358,27 +374,37 @@ UNNAMED_SIGNAL = signal.SIGRTMIN + 1 if hasattr(signal, "SIGRTMIN") else None  #
 
 
 @pytest.mark.parametrize(
-    "seed, failing, kill, line",
+    "seed, failing, kill, sigchld, line",
     [
-        (5, 6, None, "square 2 (seed 6) was not drawn: worker 1 ended early"),
-        (5, 7, None, "square 3 (seed 7) was not drawn: worker 2 ended early"),
-        (5, 9, None, "square 5 (seed 9) was not drawn: worker 1 ended early"),
-        (5, 6, signal.SIGKILL, "square 2 (seed 6) was not drawn: worker 1 was killed by signal 9 (SIGKILL)"),
+        (5, 6, None, signal.SIG_DFL, "square 2 (seed 6) was not drawn: worker 1 ended early"),
+        (5, 7, None, signal.SIG_DFL, "square 3 (seed 7) was not drawn: worker 2 ended early"),
+        (5, 9, None, signal.SIG_DFL, "square 5 (seed 9) was not drawn: worker 1 ended early"),
+        (
+            5, 6, signal.SIGKILL, signal.SIG_DFL,
+            "square 2 (seed 6) was not drawn: worker 1 was killed by signal 9 (SIGKILL)",
+        ),
         pytest.param(
-            5, 6, UNNAMED_SIGNAL, f"square 2 (seed 6) was not drawn: worker 1 was killed by signal {UNNAMED_SIGNAL}",
+            5, 6, UNNAMED_SIGNAL, signal.SIG_DFL,
+            f"square 2 (seed 6) was not drawn: worker 1 was killed by signal {UNNAMED_SIGNAL}",
             marks=pytest.mark.skipif(UNNAMED_SIGNAL is None, reason="no real-time signals"),
         ),
-        (2**64 - 1, 0, None, "square 2 (seed 0) was not drawn: worker 1 ended early"),
+        (2**64 - 1, 0, None, signal.SIG_DFL, "square 2 (seed 0) was not drawn: worker 1 ended early"),
+        (5, 6, signal.SIGKILL, signal.SIG_IGN, "square 2 (seed 6) was not drawn: worker 1 ended early"),
     ],
-    ids=["worker-1-first", "worker-2-first", "worker-1-second", "killed", "killed-by-unnamed-signal", "seed-wrap"],
+    ids=[
+        "worker-1-first", "worker-2-first", "worker-1-second", "killed", "killed-by-unnamed-signal", "seed-wrap",
+        "killed-with-sigchld-ignored",
+    ],
 )
-def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch, seed, failing, kill, line):
+def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch, seed, failing, kill, sigchld, line):
     """A worker that fails leaves a short frame: the batch ends in exit 2
     and one error line that names the first square it did not send, from
     1, that square's seed, and the signal that killed the worker, if one
     did; and no worker or pipe is left.  Of three processes, worker k
     draws squares k, k + 3, ... counted from 0, and square i of the batch
-    is drawn from its seed ``seed + i``, modulo 2**64."""
+    is drawn from its seed ``seed + i``, modulo 2**64.  Where the caller
+    ignores SIGCHLD, the kernel reaps the worker and its wait status is
+    gone, so the line names no signal."""
     parent = os.getpid()
 
     def generate_failing_in_a_worker(order, src):
@@ -393,8 +419,29 @@ def test_a_worker_that_ends_early_ends_the_batch_in_one_error_line(monkeypatch, 
     argv = list(FORKED_BATCH)
     argv[argv.index("--seed") + 1] = str(seed)
     descriptors = open_descriptors()
-    code, _, err = in_process(argv)
+    handler = signal.signal(signal.SIGCHLD, sigchld)
+    try:
+        code, _, err = in_process(argv)
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
     assert (code, err) == (2, f"error: {line}\n")
+    assert_nothing_left(descriptors)
+
+
+def test_a_caller_that_ignores_sigchld_gets_the_batch_at_exit_0(monkeypatch):
+    """Where the caller ignores SIGCHLD, the kernel reaps each worker as
+    it ends, and no wait finds it: the batch of three processes is still
+    the batch one process draws, at exit 0, and no pipe is left."""
+    _cpus(monkeypatch, 1)
+    expected = in_process(FORKED_BATCH)
+    assert expected[0] == 0
+    _cpus(monkeypatch, 3)
+    descriptors = open_descriptors()
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert in_process(FORKED_BATCH) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
     assert_nothing_left(descriptors)
 
 

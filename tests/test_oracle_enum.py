@@ -10,10 +10,8 @@ import pytest
 
 from latinsq.errors import OrderTooLarge
 from latinsq.oracle_enum import (
-    _class_size,
     _completions,
-    _cycle_row,
-    _derangement_types,
+    _derangement_classes,
     _extensions,
     _rows,
     count_all,
@@ -159,20 +157,23 @@ def test_completions_of_blanked_squares(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_extensions_depend_only_on_cycle_type(n):
-    """E'(σ) equals E' of its type's canonical row for every derangement σ,
-    and each type holds _class_size derangements. Orders 2 and 3 are the
-    edges of the state _extensions builds: at order 2 nothing is searched
-    or forced, and at order 3 only the last row is forced."""
-    canonical = {parts: _extensions(_cycle_row(parts)) for parts in _derangement_types(n)}
-    assert all(cycle_type(_cycle_row(parts)) == parts for parts in canonical)
-    by_type = Counter()
+    """E'(σ) equals E' of its type's first derangement for every
+    derangement σ, and the census holds, for each type in sorted order,
+    its first derangement in lexicographic order and how many derangements
+    have it. Orders 2 and 3 are the edges of the state _extensions builds:
+    at order 2 nothing is searched or forced, and at order 3 only the last
+    row is forced."""
+    classes = _derangement_classes(n)
+    canonical = {parts: _extensions(first) for parts, first, _ in classes}
+    first, by_type = {}, Counter()
     for row in permutations(range(1, n + 1)):
         if any(v == j for j, v in enumerate(row, 1)):
             continue
         parts = cycle_type(row)
+        first.setdefault(parts, row)
         by_type[parts] += 1
         assert _extensions(list(row)) == canonical[parts], row
-    assert by_type == {parts: _class_size(parts) for parts in canonical}
+    assert classes == tuple((parts, first[parts], by_type[parts]) for parts in sorted(by_type))
     assert canonical == EXTENSIONS[n]
 
 
@@ -197,7 +198,7 @@ def test_row_table_holds_each_permutation_once_by_first_symbol(n):
 
 @pytest.mark.parametrize("n, derangements", sorted(DERANGEMENTS.items()))
 def test_class_sizes_sum_to_derangements(n, derangements):
-    assert sum(_class_size(parts) for parts in _derangement_types(n)) == derangements
+    assert sum(size for _, _, size in _derangement_classes(n)) == derangements
 
 
 def test_count_cap():
