@@ -9,11 +9,16 @@ column's symbols so far, and one ``&`` tests a candidate row against
 every column. The candidates are the packed permutations of 1..n, from a
 table built once per order on first use. The search hands the rows it
 chose to a leaf that its caller passes. Counting runs it once per cycle
-type of the second row, from one census of the permutations, memoises
-each state's count for the one call, and closes the last two rows by
-their cycles; enumeration writes the rows and the forced last row into
-its grid. The state is passed as arguments, so the search holds no
-reference to itself and is freed when it returns.
+type of the second row and closes the last two rows by their cycles;
+enumeration writes the rows and the forced last row into its grid.
+
+What counting needs of an order alone is built once per order, on first
+use: the census of the permutations by cycle type, and each type's
+search start, its two-row word, its plan of candidate groups and its
+counting leaf. A count call runs only the searches, each with a memo of
+state counts that lives for that call; no count outlives its call. The
+state is passed as arguments, so the search holds no reference to itself
+and is freed when it returns.
 """
 
 import functools
@@ -69,7 +74,10 @@ def cycle_type_law(n: int) -> dict[tuple[int, ...], int]:
     probability proportional to its weight. Order 1 has no types.
     """
     check_order(n, COUNT_CAP)
-    return {parts: size * _extensions(first) for parts, first, size in _derangement_classes(n)}
+    return {
+        parts: size * _search((), used, plan, {}, leaf)
+        for parts, size, used, plan, leaf in _class_starts(n)
+    }
 
 
 @functools.cache
@@ -108,26 +116,42 @@ def _rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups))
 
 
+@functools.cache
+def _class_starts(n: int) -> tuple[tuple, ...]:
+    """Each derangement type's search start, built once per order on first
+    use from the census: the type, |C_λ|, and ``_start`` of its first
+    derangement. Only the searches and their memo are left to each call."""
+    return tuple((parts, size, *_start(first)) for parts, first, size in _derangement_classes(n))
+
+
 def _extensions(second: tuple[int, ...]) -> int:
     """E'(σ): the completions of the grid with row 1 the identity, row 2
-    ``second`` and column 1 of rows 3..n the other symbols ascending.
+    ``second`` and column 1 of rows 3..n the other symbols ascending."""
+    used, plan, leaf = _start(second)
+    return _search((), used, plan, {}, leaf)
+
+
+def _start(second: tuple[int, ...]) -> tuple:
+    """The word, plan and leaf from which ``_search`` counts E'(σ), for
+    ``second`` the row σ.
 
     Rows 1 and 2 are written down from σ as one word, in O(n): column j
     holds j and σ(j). Rows 3..n-2 are searched, each among the rows that
     start with its column-1 symbol, so column 1 needs no test; the leaf
     ``_two_rows`` closes the last two. Below n = 4 at most one row is
-    left, and it is forced.
+    left, and it is forced, so the plan is empty, the leaf counts 1 and no
+    table of rows is built.
     """
     n = len(second)
-    if n < 4:
-        return 1
     used = 0
     for j, s in enumerate(second):
         used |= 1 << (j * n + j) | 1 << (j * n + s - 1)
+    if n < 4:
+        return used, (), lambda path, used: 1
     rows = _rows(n)
     below = [s for s in range(2, n + 1) if s != second[0]]
     plan = tuple((rows[s - 1], 0) for s in below[:-2])
-    return _search((), used, plan, {}, lambda path, used: _two_rows(used, n))
+    return used, plan, lambda path, used: _two_rows(used, n)
 
 
 def _completions(grid: list[list[int]], visit=lambda grid: None) -> int:

@@ -114,7 +114,10 @@ MUTANTS = (
         "oracle_enum.py",
         "if row & used == kept:",
         "if row & used & ~(1 << row.bit_length() - 1) == kept:",
-        ("tests/test_oracle_enum.py::test_cycle_type_law[5]",),
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
+            "tests/test_oracle_enum.py::test_each_class_start_counts_its_extensions_by_brute_force[5]",
+        ),
     ),
     Mutant(
         "candidate-may-drop-a-kept-cell",
@@ -131,7 +134,32 @@ MUTANTS = (
         (
             "tests/test_oracle_enum.py::test_cycle_type_law[5]",
             "tests/test_oracle_enum.py::test_extensions_depend_only_on_cycle_type[5]",
+            "tests/test_oracle_enum.py::test_each_class_start_counts_its_extensions_by_brute_force[5]",
         ),
+    ),
+    Mutant(
+        "plan-from-the-wrong-column-1-symbol",
+        "oracle_enum.py",
+        "if s != second[0]]",
+        "if s != second[-1]]",
+        (
+            "tests/test_oracle_enum.py::test_cycle_type_law[5]",
+            "tests/test_oracle_enum.py::test_each_class_start_counts_its_extensions_by_brute_force[5]",
+        ),
+    ),
+    Mutant(
+        "forced-row-counted-twice",
+        "oracle_enum.py",
+        "return used, (), lambda path, used: 1",
+        "return used, (), lambda path, used: 2",
+        ("tests/test_oracle_enum.py::test_cycle_type_law[3]",),
+    ),
+    Mutant(
+        "rows-built-below-order-4",
+        "oracle_enum.py",
+        "    if n < 4:\n        return used, (), lambda path, used: 1\n    rows = _rows(n)\n",
+        "    rows = _rows(n)\n    if n < 4:\n        return used, (), lambda path, used: 1\n",
+        ("tests/test_cli.py::test_start_up_loads_no_dataclasses_and_json_only_on_json_paths",),
     ),
     Mutant(
         "census-keeps-types-with-a-fixed-point",
@@ -141,6 +169,7 @@ MUTANTS = (
         (
             "tests/test_oracle_enum.py::test_cycle_type_law[4]",
             "tests/test_oracle_enum.py::test_class_sizes_sum_to_derangements[4-9]",
+            "tests/test_oracle_enum.py::test_each_class_start_counts_its_extensions_by_brute_force[5]",
         ),
     ),
     Mutant(
@@ -153,11 +182,25 @@ MUTANTS = (
     Mutant(
         "memo-keyed-on-the-cells-filled",
         "oracle_enum.py",
-        "_search((), used, plan, {},",
-        "_search((), used, plan, type('ByCount', (dict,), {"
+        "size * _search((), used, plan, {},",
+        "size * _search((), used, plan, type('ByCount', (dict,), {"
         "'get': lambda self, key: dict.get(self, key.bit_count()), "
         "'__setitem__': lambda self, key, value: dict.__setitem__(self, key.bit_count(), value)})(),",
         ("tests/test_oracle_enum.py::test_cycle_type_law[6]",),
+    ),
+    Mutant(
+        "memo-outlives-its-call",
+        "oracle_enum.py",
+        "size * _search((), used, plan, {},",
+        "size * _search((), used, plan, _search.__dict__.setdefault('memo', {}),",
+        ("tests/test_oracle_enum.py::test_a_count_keeps_no_count_between_calls",),
+    ),
+    Mutant(
+        "order-checked-after-the-cache",
+        "oracle_enum.py",
+        "    check_order(n, COUNT_CAP)\n    return {\n",
+        "    _class_starts(n)\n    check_order(n, COUNT_CAP)\n    return {\n",
+        ("tests/test_oracle_enum.py::test_a_refused_order_reads_no_count_cache[5.0]",),
     ),
     Mutant(
         "last-row-left-unwritten",

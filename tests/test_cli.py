@@ -113,7 +113,8 @@ def test_start_up_loads_no_dataclasses_and_json_only_on_json_paths():
         "sys.stdin = io.StringIO('{\"order\": 1, \"cells\": [[1]]}')\n"
         "latinsq.cli.main(['validate', '-'])\n"
         "print('json' in sys.modules)\n"
-        "latinsq.cli.main(['count', '--order', '1'])\n"
+        "for order in '1', '2', '3':\n"
+        "    latinsq.cli.main(['count', '--order', order])\n"
         "print(latinsq.oracle_enum._rows.cache_info().currsize)\n"
     )
     done = subprocess.run(
@@ -124,9 +125,9 @@ def test_start_up_loads_no_dataclasses_and_json_only_on_json_paths():
         check=True,
     )
     # JSON output is spelled without json; JSON input loads it; counting
-    # order 1 builds no table of packed rows
+    # orders 1-3 builds no table of packed rows
     assert done.stdout.splitlines() == [
-        "[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "False", "VALID", "True", "1", "0"
+        "[]", '{"order": 2, "cells": [[1, 2], [2, 1]]}', "False", "VALID", "True", "1", "2", "12", "0"
     ]
 
 

@@ -1,19 +1,26 @@
 """Brute-force enumeration: counts, ordering, independence checks, and the
 cycle-type reduction behind ``count_all``."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
+import latinsq
 from latinsq.errors import OrderTooLarge
 from latinsq.oracle_enum import (
+    _class_starts,
     _completions,
     _derangement_classes,
     _extensions,
     _rows,
+    _search,
+    _two_rows,
     count_all,
     cycle_type_law,
     enumerate_all,
@@ -22,7 +29,9 @@ from latinsq.validator import is_latin
 
 from conftest import cycle_type
 
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576}
+# L_1..L_7, OEIS A002860
+A002860 = (1, 2, 12, 576, 161280, 812851200, 61479419904000)
+KNOWN_COUNTS = dict(enumerate(A002860[:4], 1))
 DERANGEMENTS = {1: 0, 2: 1, 3: 2, 4: 9, 5: 44, 6: 265, 7: 1854}
 # E' of each derangement type at orders 2-6
 EXTENSIONS = {
@@ -175,6 +184,77 @@ def test_extensions_depend_only_on_cycle_type(n):
         assert _extensions(list(row)) == canonical[parts], row
     assert classes == tuple((parts, first[parts], by_type[parts]) for parts in sorted(by_type))
     assert canonical == EXTENSIONS[n]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_each_class_start_counts_its_extensions_by_brute_force(n):
+    """Each type's cached start, searched with a leaf that closes the last
+    two rows by brute force, counts E' of its type. The leaf tries row n-1
+    from the group of the lesser symbol column 1 lacks, and keeps it when
+    what each column then lacks, row n, is a row. Every state the search
+    hands the leaf completes, as every Latin rectangle does, and
+    ``_two_rows`` agrees with the leaf there."""
+    table = _rows(n)
+    every = set(sum(table, ()))
+    full, whole = (1 << n) - 1, (1 << n * n) - 1
+    states = {}
+
+    def brute(path, used):
+        lacking = ~used & full
+        group = table[(lacking & -lacking).bit_length() - 1]
+        states[used] = sum(not row & used and whole ^ used ^ row in every for row in group)
+        return states[used]
+
+    counts = {parts: _search((), used, plan, {}, brute) for parts, _, used, plan, _ in _class_starts(n)}
+    assert counts == EXTENSIONS[n]
+    assert states and all(states.values())
+    assert {used: _two_rows(used, n) for used in states} == states
+
+
+def test_a_count_keeps_no_count_between_calls(monkeypatch):
+    """A second count runs every search again, through the same leaves:
+    no E', weight or state's count outlives the call that found it."""
+    import latinsq.oracle_enum as oracle_enum
+
+    leaves = []
+    closing = oracle_enum._two_rows
+    monkeypatch.setattr(oracle_enum, "_two_rows", lambda used, n: leaves.append(used) or closing(used, n))
+    assert count_all(6) == A002860[5]
+    first = len(leaves)
+    assert count_all(6) == A002860[5]
+    assert first and leaves == leaves[:first] * 2
+
+
+@pytest.mark.parametrize("order", [True, 5.0, 0, 8], ids=["True", "5.0", "0", "8"])
+def test_a_refused_order_reads_no_count_cache(order):
+    """The order is checked before any per-order cache is read: True and
+    5.0 would share the keys of orders 1 and 5."""
+    count_all(1)
+    count_all(5)
+    caches = (_derangement_classes, _class_starts, _rows)
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(OrderTooLarge):
+        count_all(order)
+    with pytest.raises(OrderTooLarge):
+        cycle_type_law(order)
+    assert [cache.cache_info() for cache in caches] == before
+
+
+def test_count_caches_stay_apart_by_order():
+    """Orders 1-7 counted twice each, shuffled, in one fresh process give
+    A002860 each time, whichever order sets up its caches first."""
+    orders = [*range(1, 8)] * 2
+    random.Random(7).shuffle(orders)
+    probe = f"from latinsq.oracle_enum import count_all\nprint([count_all(n) for n in {orders}])\n"
+    src = os.path.dirname(os.path.dirname(latinsq.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == f"{[A002860[n - 1] for n in orders]}\n"
 
 
 @pytest.mark.parametrize("n", range(1, 8))
